@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/json_format.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
 
@@ -19,11 +20,7 @@ std::string Dbl(double v) {
   return buf;
 }
 
-void AppendQuoted(std::string& out, const std::string& s) {
-  out += '"';
-  detail::AppendJsonEscaped(out, s);
-  out += '"';
-}
+using json::AppendQuoted;
 
 }  // namespace
 

@@ -51,10 +51,9 @@ using TrackId = std::uint32_t;  // one per sim node ("thread" in the export)
 class FlightRecorder;  // flight.h
 
 namespace detail {
-// JSON fragment helpers shared by the tracer export and the flight-recorder
-// dump (defined in trace.cc): string escaping and the fixed three-decimal
-// microsecond formatting that keeps exports byte-stable.
-void AppendJsonEscaped(std::string& out, std::string_view s);
+// Shared by the tracer export and the flight-recorder dump (defined in
+// trace.cc): the fixed three-decimal microsecond formatting that keeps
+// exports byte-stable.
 void AppendJsonMicros(std::string& out, std::int64_t ns);
 }  // namespace detail
 

@@ -29,12 +29,14 @@
 #include <vector>
 
 #include "cache.h"
+#include "common/json_format.h"
 #include "finding.h"
 #include "rules.h"
 
 namespace {
 
 namespace fs = std::filesystem;
+using dufs::json::Escape;
 using dufs::lint::FileArtifacts;
 using dufs::lint::Finding;
 using dufs::lint::Linter;
@@ -180,27 +182,6 @@ std::vector<std::string> CollectFiles(const Options& opt) {
   return files;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string Fingerprint(const Finding& f) {
   return f.file + ":" + std::to_string(f.line) + ":" + f.rule;
 }
@@ -248,11 +229,11 @@ bool WriteSarif(const std::string& path,
   const auto& docs = RuleDocs();
   for (std::size_t i = 0; i < docs.size(); ++i) {
     if (i > 0) out += ',';
-    out += "{\"id\":\"" + JsonEscape(docs[i].id) + "\"";
+    out += "{\"id\":\"" + Escape(docs[i].id) + "\"";
     out += ",\"shortDescription\":{\"text\":\"" +
-           JsonEscape(docs[i].summary) + "\"}";
+           Escape(docs[i].summary) + "\"}";
     out += ",\"fullDescription\":{\"text\":\"" +
-           JsonEscape(docs[i].rationale) + "\"}";
+           Escape(docs[i].rationale) + "\"}";
     out += ",\"defaultConfiguration\":{\"level\":\"";
     out += docs[i].severity == Severity::kWarn ? "warning" : "error";
     out += "\"}}";
@@ -261,12 +242,12 @@ bool WriteSarif(const std::string& path,
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     if (i > 0) out += ',';
-    out += "{\"ruleId\":\"" + JsonEscape(f.rule) + "\"";
+    out += "{\"ruleId\":\"" + Escape(f.rule) + "\"";
     out += ",\"level\":\"";
     out += RuleSeverity(f.rule) == Severity::kWarn ? "warning" : "error";
-    out += "\",\"message\":{\"text\":\"" + JsonEscape(f.message) + "\"}";
+    out += "\",\"message\":{\"text\":\"" + Escape(f.message) + "\"}";
     out += ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{";
-    out += "\"uri\":\"" + JsonEscape(f.file) + "\"}";
+    out += "\"uri\":\"" + Escape(f.file) + "\"}";
     out += ",\"region\":{\"startLine\":" +
            std::to_string(f.line > 0 ? f.line : 1) + "}}}]}";
   }
@@ -373,12 +354,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < findings.size(); ++i) {
       const Finding& f = findings[i];
       if (i > 0) out += ',';
-      out += "{\"file\":\"" + JsonEscape(f.file) + "\"";
+      out += "{\"file\":\"" + Escape(f.file) + "\"";
       out += ",\"line\":" + std::to_string(f.line);
-      out += ",\"rule\":\"" + JsonEscape(f.rule) + "\"";
+      out += ",\"rule\":\"" + Escape(f.rule) + "\"";
       out += ",\"severity\":\"";
       out += SeverityName(RuleSeverity(f.rule));
-      out += "\",\"message\":\"" + JsonEscape(f.message) + "\"}";
+      out += "\",\"message\":\"" + Escape(f.message) + "\"}";
     }
     out += "],\"files_scanned\":" + std::to_string(files.size()) + "}\n";
     std::fputs(out.c_str(), stdout);
