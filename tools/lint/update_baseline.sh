@@ -2,7 +2,7 @@
 # Regenerates tools/lint/baseline.txt from the current tree.
 #
 # The baseline records intentional debt as `file:line:rule` fingerprints;
-# the dufs_lint_tree_v2 ctest (and the `lint` build target) fail on any
+# the dufs_lint_tree ctest (and the `lint` build target) fail on any
 # finding not listed here. Prefer fixing or `// dufs-lint: allow(...)`
 # annotations — only baseline findings you mean to keep.
 #
