@@ -19,58 +19,30 @@ using mdtest::TestbedConfig;
 
 namespace {
 
-double MeasureDirCreate(double dlm_us, long procs, std::size_t items,
-                        Target target,
-                        const bench::ObsOptions* obs_opts = nullptr,
-                        bool observed = false,
-                        std::string* registry_json = nullptr,
-                        std::string* timeline_json = nullptr) {
+double MeasureDirCreate(bench::Harness& h, bool observed, double dlm_us,
+                        long procs, std::size_t items, Target target) {
   TestbedConfig config;
   config.backend = mdtest::BackendKind::kLustre;
   config.backend_instances = 2;
   config.lustre_perf.dlm_cpu_per_inflight = sim::Us(dlm_us);
-  config.enable_trace =
-      observed && obs_opts != nullptr && obs_opts->trace_enabled();
-  Testbed tb(config);
-  tb.MountAll();
-  if (observed && obs_opts != nullptr && obs_opts->timeline) {
-    tb.StartTimeline(obs_opts->timeline_interval_ns());
-  }
+  const auto tb = h.Mount(config, observed);
   MdtestConfig mc;
   mc.processes = static_cast<std::size_t>(procs);
   mc.items_per_proc = items;
-  MdtestRunner runner(tb, mc);
+  MdtestRunner runner(*tb, mc);
   auto results = runner.Run(target, {Phase::kDirCreate});
-  if (config.enable_trace) {
-    tb.obs().tracer().WriteChromeJson(obs_opts->trace_path);
-    std::fprintf(stderr, "[ablation_contention] trace written: %s (%zu "
-                         "spans)\n",
-                 obs_opts->trace_path.c_str(),
-                 tb.obs().tracer().events().size());
-  }
-  if (observed && registry_json != nullptr) {
-    *registry_json = tb.obs().metrics().ToJson();
-  }
-  if (observed && timeline_json != nullptr && obs_opts != nullptr &&
-      obs_opts->timeline) {
-    *timeline_json = tb.timeline().ToJson();
-  }
+  if (observed) h.Capture(tb->obs(), tb->timeline());
   return results[0].ops_per_sec;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv,
-                     "ablation_contention [--items=N] [--procs=64,256] "
-                     "[--metrics-json=PATH] [--trace=PATH] [--timeline] "
-                     "[--timeline-us=200]");
-  const auto items = static_cast<std::size_t>(flags.Int("items", 25));
-  const auto procs_list = flags.IntList("procs", {64, 256});
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
-  bench::MetricsJsonWriter out;
-  std::string registry_json, timeline_json;
+  bench::Harness h(argc, argv, "ablation_contention",
+                   "[--items=N] [--procs=64,256]");
+  const auto items = static_cast<std::size_t>(h.flags().Int("items", 25));
+  const auto procs_list = h.flags().IntList("procs", {64, 256});
+  auto& out = h.metrics();
 
   std::printf("Ablation: Lustre DLM lock-management cost "
               "(us CPU per in-flight request)\n");
@@ -91,7 +63,9 @@ int main(int argc, char** argv) {
     std::snprintf(dlm_key, sizeof(dlm_key), "dlm_%.1f", dlm);
     std::printf("%-10.1f", dlm);
     for (long p : procs_list) {
-      const double v = MeasureDirCreate(dlm, p, items, Target::kBaseline);
+      const double v =
+          MeasureDirCreate(h, /*observed=*/false, dlm, p, items,
+                           Target::kBaseline);
       std::printf(" %14.1f", v);
       out.AddValue(std::string(dlm_key) + ".lustre@" + std::to_string(p), v);
     }
@@ -102,21 +76,15 @@ int main(int argc, char** argv) {
       const bool observed =
           di + 1 == n_dlm && pi + 1 == procs_list.size();
       const double v =
-          MeasureDirCreate(dlm, p, items, Target::kDufs, &obs_opts, observed,
-                           &registry_json, &timeline_json);
+          MeasureDirCreate(h, observed, dlm, p, items, Target::kDufs);
       std::printf(" %14.1f", v);
       out.AddValue(std::string(dlm_key) + ".dufs@" + std::to_string(p), v);
     }
     std::printf("\n");
   }
-  if (obs_opts.metrics_enabled()) {
-    out.SetTimelineJson(timeline_json);
-    out.SetRegistryJson(registry_json);
-    out.WriteFile(obs_opts.metrics_path);
-  }
   std::printf("\nTakeaway: without the DLM term (row 0.0) native Lustre "
               "would not degrade\nwith client count and the paper's "
               "crossover would not exist; DUFS dir ops\nnever touch the "
               "MDS, so its rows barely move.\n");
-  return 0;
+  return h.Finish();
 }

@@ -110,27 +110,15 @@ bench::HotPathCounters MeasureStats(std::uint64_t seed, bool cache,
 }
 
 // (c) mdtest file-create throughput at `procs` processes, leader group
-// commit on/off. When `obs` asks for a trace, spans are recorded and the
-// Chrome JSON written after the run; `registry_json` (if non-null) receives
-// the full metrics registry dump.
-bench::HotPathCounters MeasureCreates(std::uint64_t seed, bool group_commit,
-                                      std::size_t procs, std::size_t items,
-                                      const bench::ObsOptions* obs = nullptr,
-                                      std::string* registry_json = nullptr,
-                                      std::string* timeline_json = nullptr,
-                                      std::string* incidents_json = nullptr) {
+// commit on/off; the `observed` run feeds the harness's exports.
+bench::HotPathCounters MeasureCreates(bench::Harness& h, bool observed,
+                                      std::uint64_t seed, bool group_commit,
+                                      std::size_t procs, std::size_t items) {
   auto config = BaseConfig(seed);
   config.client_nodes = 4;
   config.zk_group_commit = group_commit;
-  config.enable_trace = obs != nullptr && obs->trace_enabled();
-  Testbed tb(config);
-  if (obs != nullptr) {
-    DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), *obs));
-  }
-  tb.MountAll();
-  if (obs != nullptr && obs->timeline) {
-    tb.StartTimeline(obs->timeline_interval_ns());
-  }
+  const auto testbed = h.Mount(config, observed);
+  Testbed& tb = *testbed;
   MdtestConfig mc;
   mc.processes = procs;
   mc.items_per_proc = items;
@@ -153,33 +141,17 @@ bench::HotPathCounters MeasureCreates(std::uint64_t seed, bool group_commit,
   }
   c.zk_requests -= req0;
   c.zk_failovers -= fo0;
-  if (config.enable_trace) {
-    tb.obs().tracer().WriteChromeJson(obs->trace_path);
-    std::printf("trace written: %s (%zu spans)\n", obs->trace_path.c_str(),
-                tb.obs().tracer().events().size());
-  }
-  if (registry_json != nullptr) {
-    *registry_json = tb.obs().metrics().ToJson();
-  }
-  if (timeline_json != nullptr && obs != nullptr && obs->timeline) {
-    *timeline_json = tb.timeline().ToJson();
-  }
-  if (incidents_json != nullptr && obs != nullptr) {
-    *incidents_json = bench::FinishIncidents(tb.obs(), *obs);
-  }
+  if (observed) h.Capture(tb.obs(), tb.timeline());
   return c;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(
-      argc, argv,
-      "ablation_fastpath [--seed=N] [--width=64] [--files=32] [--rounds=8] "
-      "[--procs=128] [--items=10] [--ops=N] [--metrics-json=PATH] "
-      "[--trace=PATH] [--timeline] [--timeline-us=200] [--baseline=PATH] "
-      "[--slo=op:target:budget] [--flight-dump-dir=DIR] [--slo-window-us=N] "
-      "[--flight-capacity=N]");
+  bench::Harness h(argc, argv, "ablation_fastpath",
+                   "[--seed=N] [--width=64] [--files=32] [--rounds=8] "
+                   "[--procs=128] [--items=10] [--ops=N]");
+  const bench::Flags& flags = h.flags();
   const auto seed = static_cast<std::uint64_t>(flags.Int("seed", 1));
   const auto width = static_cast<std::size_t>(flags.Int("width", 64));
   const auto files = static_cast<std::size_t>(flags.Int("files", 32));
@@ -191,8 +163,6 @@ int main(int argc, char** argv) {
   const auto items = ops > 0
                          ? std::max<std::size_t>(1, ops / procs)
                          : static_cast<std::size_t>(flags.Int("items", 10));
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
 
   std::printf("Ablation: metadata fast path (seed=%llu)\n",
               static_cast<unsigned long long>(seed));
@@ -223,53 +193,37 @@ int main(int argc, char** argv) {
               "%zu processes x %zu items\n",
               procs, items);
   bench::PrintHotPathHeader();
-  std::string registry_json, timeline_json, incidents_json;
-  const auto gc_off = MeasureCreates(seed, false, procs, items);
-  // The trace, timeline, and incident engine (if requested) cover the
-  // group_commit=on run — the configuration whose span chain (op → zk-rpc →
-  // quorum-round → fsync-batch) the ablation is about.
-  const auto gc_on = MeasureCreates(seed, true, procs, items, &obs_opts,
-                                    &registry_json, &timeline_json,
-                                    &incidents_json);
+  const auto gc_off = MeasureCreates(h, /*observed=*/false, seed,
+                                     /*group_commit=*/false, procs, items);
+  // The observed run is group_commit=on — the configuration whose span
+  // chain (op → zk-rpc → quorum-round → fsync-batch) the ablation is about.
+  const auto gc_on = MeasureCreates(h, /*observed=*/true, seed,
+                                    /*group_commit=*/true, procs, items);
   bench::PrintHotPathRow("group_commit=off", gc_off);
   bench::PrintHotPathRow("group_commit=on", gc_on);
   std::printf("create throughput: %.0f -> %.0f ops/s (%.2fx)\n",
               gc_off.ops / gc_off.seconds, gc_on.ops / gc_on.seconds,
               (gc_on.ops / gc_on.seconds) / (gc_off.ops / gc_off.seconds));
 
-  if (obs_opts.metrics_enabled()) {
-    bench::MetricsJsonWriter out;
-    out.AddValue("readdir_seq_us", seq_us);
-    out.AddValue("readdir_par_us", par_us);
-    out.AddCounters("cache=off", cache_off);
-    out.AddCounters("cache=on", cache_on);
-    out.AddCounters("group_commit=off", gc_off);
-    out.AddCounters("group_commit=on", gc_on);
-    out.SetTimelineJson(timeline_json);
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(registry_json);
-    if (out.WriteFile(obs_opts.metrics_path)) {
-      std::printf("metrics written: %s\n", obs_opts.metrics_path.c_str());
-    }
-  }
+  auto& out = h.metrics();
+  out.AddValue("readdir_seq_us", seq_us);
+  out.AddValue("readdir_par_us", par_us);
+  out.AddCounters("cache=off", cache_off);
+  out.AddCounters("cache=on", cache_on);
+  out.AddCounters("group_commit=off", gc_off);
+  out.AddCounters("group_commit=on", gc_on);
 
-  if (obs_opts.baseline_enabled()) {
-    bench::BaselineWriter base("ablation_fastpath");
-    base.AddLowerBetter("readdir.seq.us", seq_us);
-    base.AddLowerBetter("readdir.par.us", par_us);
-    base.AddLowerBetter("stat.cache_off.zk_req_per_op", off_per_op);
-    base.AddLowerBetter("stat.cache_on.zk_req_per_op", on_per_op);
-    base.AddHigherBetter("create.gc_off.ops_per_s",
-                         gc_off.ops / gc_off.seconds);
-    base.AddHigherBetter("create.gc_on.ops_per_s", gc_on.ops / gc_on.seconds);
-    if (base.WriteFile(obs_opts.baseline_path)) {
-      std::printf("baseline written: %s\n", obs_opts.baseline_path.c_str());
-    }
-  }
+  auto& base = h.baseline();
+  base.AddLowerBetter("readdir.seq.us", seq_us);
+  base.AddLowerBetter("readdir.par.us", par_us);
+  base.AddLowerBetter("stat.cache_off.zk_req_per_op", off_per_op);
+  base.AddLowerBetter("stat.cache_on.zk_req_per_op", on_per_op);
+  base.AddHigherBetter("create.gc_off.ops_per_s", gc_off.ops / gc_off.seconds);
+  base.AddHigherBetter("create.gc_on.ops_per_s", gc_on.ops / gc_on.seconds);
 
   std::printf("\nTakeaway: each layer attacks a different serial term — "
               "(a) per-child RPC\nlatency, (b) repeated-lookup request "
               "volume, (c) per-proposal quorum and\nfsync cost. All three "
               "compose on the same DUFS client.\n");
-  return 0;
+  return h.Finish();
 }

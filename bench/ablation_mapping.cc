@@ -59,15 +59,12 @@ double MovedPct(core::PlacementPolicy& policy, const std::vector<Fid>& fids,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // No simulation here, so --trace would be empty by construction; only the
-  // metrics export is wired.
-  bench::Flags flags(argc, argv,
-                     "ablation_mapping [--fids=N] [--metrics-json=PATH]");
+  // No simulation here, so there is no observed run: --trace and --timeline
+  // have nothing to record.
+  bench::Harness h(argc, argv, "ablation_mapping", "[--fids=N]");
   const auto fids = MakeFids(
-      static_cast<std::size_t>(flags.Int("fids", 200'000)));
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
-  bench::MetricsJsonWriter out;
+      static_cast<std::size_t>(h.flags().Int("fids", 200'000)));
+  auto& out = h.metrics();
 
   std::printf("Ablation: FID placement policies over %zu FIDs\n",
               fids.size());
@@ -89,11 +86,8 @@ int main(int argc, char** argv) {
     out.AddValue("md5.moved_pct" + suffix, md5_moved);
     out.AddValue("chash.moved_pct" + suffix, chash_moved);
   }
-  if (obs_opts.metrics_enabled()) {
-    out.WriteFile(obs_opts.metrics_path);
-  }
   std::printf("\nTakeaway: mod-N balances slightly better, but a back-end "
               "change relocates\nnearly all files; the ring bounds "
               "relocation near the ideal 100/(N+1)%%.\n");
-  return 0;
+  return h.Finish();
 }

@@ -23,20 +23,16 @@ using mdtest::Testbed;
 using mdtest::TestbedConfig;
 
 int main(int argc, char** argv) {
-  bench::Flags flags(
-      argc, argv,
-      "anomaly_slowfsync [--seed=N] [--files=60] [--degrade-at-us=150000] "
-      "[--degrade-factor=15] [--expect-anomaly=TYPE] [--metrics-json=PATH] "
-      "[--trace=PATH] [--slo=op:target:budget] [--flight-dump-dir=DIR] "
-      "[--slo-window-us=N] [--flight-capacity=N]");
+  bench::Harness h(argc, argv, "anomaly_slowfsync",
+                   "[--seed=N] [--files=120] [--degrade-at-us=150000] "
+                   "[--degrade-factor=15] [--expect-anomaly=TYPE]");
+  const bench::Flags& flags = h.flags();
   const auto seed = static_cast<std::uint64_t>(flags.Int("seed", 1));
   // Creates per client; sized so the run extends well past the fault.
   const auto files = static_cast<std::size_t>(flags.Int("files", 120));
   const auto degrade_at = sim::Us(flags.Int("degrade-at-us", 150000));
   const double factor = flags.Double("degrade-factor", 15.0);
   const std::string expect = flags.Str("expect-anomaly", "");
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
 
   TestbedConfig config;
   config.seed = seed;
@@ -48,10 +44,8 @@ int main(int argc, char** argv) {
   config.backend = BackendKind::kMemFs;
   config.backend_instances = 1;
   config.zk_group_commit = false;  // one fsync per create
-  config.enable_trace = obs_opts.trace_enabled();
-  Testbed tb(config);
-  DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), obs_opts));
-  tb.MountAll();
+  const auto testbed = h.Mount(config, /*observed=*/true);
+  Testbed& tb = *testbed;
 
   // The fault: DiskWrite reads the node model at call time, so mutating it
   // mid-run takes effect on the next journal batch.
@@ -89,21 +83,9 @@ int main(int argc, char** argv) {
   std::printf("creates: %.0f in %.3f s sim (%.0f ops/s)\n", ops, secs,
               ops / secs);
 
-  if (obs_opts.trace_enabled()) {
-    tb.obs().tracer().WriteChromeJson(obs_opts.trace_path);
-    std::printf("trace written: %s (%zu spans)\n", obs_opts.trace_path.c_str(),
-                tb.obs().tracer().events().size());
-  }
-  const std::string incidents_json = bench::FinishIncidents(tb.obs(), obs_opts);
-  if (obs_opts.metrics_enabled()) {
-    bench::MetricsJsonWriter out;
-    out.AddValue("create_ops_per_s", ops / secs);
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(tb.obs().metrics().ToJson());
-    if (out.WriteFile(obs_opts.metrics_path)) {
-      std::printf("metrics written: %s\n", obs_opts.metrics_path.c_str());
-    }
-  }
+  h.Capture(tb.obs(), tb.timeline());
+  h.metrics().AddValue("create_ops_per_s", ops / secs);
+  const int status = h.Finish();
 
   if (!expect.empty()) {
     bool fired = false;
@@ -118,5 +100,5 @@ int main(int argc, char** argv) {
     }
     std::printf("expected anomaly fired: %s\n", expect.c_str());
   }
-  return 0;
+  return status;
 }

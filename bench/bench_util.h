@@ -1,7 +1,9 @@
 // Shared helpers for the figure-reproduction benches: tiny flag parsing,
-// aligned table printing matching the series the paper plots, and the
-// machine-readable exports (--metrics-json / --trace) that make every bench
-// row reproducible from artifacts alone.
+// aligned table printing matching the series the paper plots, and
+// bench::Harness, which turns the shared observability flags into one
+// observed run and the machine-readable exports (--metrics-json, --trace,
+// --baseline, --profile) that make every bench row reproducible from
+// artifacts alone.
 #pragma once
 
 #include <cstdint>
@@ -10,12 +12,16 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <system_error>
+#include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
+#include "common/json_format.h"
+#include "mdtest/testbed.h"
 #include "obs/obs.h"
+#include "obs/timeline.h"
 
 namespace dufs::bench {
 
@@ -133,36 +139,6 @@ inline void PrintHotPathRow(const std::string& label,
                   : 0.0);
 }
 
-// Minimal JSON string escaping for the exports below (keys are identifiers;
-// only values built from user flags need it).
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-inline void AppendJsonNumber(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
 // Prints a "series table": one row per x value, one column per series —
 // mirroring the figures' curves.
 class SeriesTable {
@@ -189,10 +165,12 @@ class SeriesTable {
   // Appends this table as one JSON object:
   //   {"x_label":"procs","series":["dufs","basic"],"rows":[[8,1.5,0.2],...]}
   void AppendJson(std::string* out) const {
-    *out += "{\"x_label\":\"" + JsonEscape(x_label_) + "\",\"series\":[";
+    *out += "{\"x_label\":";
+    json::AppendQuoted(*out, x_label_);
+    *out += ",\"series\":[";
     for (std::size_t i = 0; i < series_.size(); ++i) {
       if (i > 0) *out += ',';
-      *out += '"' + JsonEscape(series_[i]) + '"';
+      json::AppendQuoted(*out, series_[i]);
     }
     *out += "],\"rows\":[";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -201,7 +179,7 @@ class SeriesTable {
       *out += std::to_string(rows_[r].first);
       for (double v : rows_[r].second) {
         *out += ',';
-        AppendJsonNumber(out, v);
+        json::AppendNumber(*out, v);
       }
       *out += ']';
     }
@@ -228,7 +206,8 @@ inline std::int64_t ParseDurationNs(const std::string& s) {
   return -1;
 }
 
-// The observability flags every bench shares:
+
+// The observability flags every bench shares (Harness parses them):
 //   --metrics-json=PATH   write counters + the merged registry as JSON
 //   --trace=PATH          record spans, write Chrome trace_event JSON
 //   --timeline            sample gauges into a "timeline" metrics section
@@ -287,6 +266,27 @@ struct ObsOptions {
   long timeline_interval_ns() const { return timeline_us * 1000; }
 };
 
+// The ObsOptions flags in usage form; Harness appends this to every bench's
+// own usage line.
+inline constexpr char kObsUsage[] =
+    " [--metrics-json=PATH] [--trace=PATH] [--timeline] [--timeline-us=200]"
+    " [--baseline=PATH] [--slo=op:target:budget[,...]]"
+    " [--flight-dump-dir=DIR] [--slo-window-us=10000] [--flight-capacity=N]"
+    " [--profile=PATH] [--profile-hz=97] [--profile-every=N]"
+    " [--profile-digest=PATH]";
+
+// Writes one export file. Returns false, after a warning naming `what`, when
+// the file cannot be opened or written in full.
+inline bool WriteExport(const std::string& path, const std::string& content,
+                        const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr &&
+            std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) std::fprintf(stderr, "cannot write %s: %s\n", what, path.c_str());
+  return ok;
+}
+
 // RAII around the CPU profiler for a whole bench run: Start() from the
 // shared flags at construction, Finish() (or destruction) stops, writes the
 // folded export (+ optional digest), prints a one-line summary, and resets
@@ -325,9 +325,12 @@ class ProfileSession {
     running_ = false;
     prof::Stop();
     const prof::Stats stats = prof::GetStats();
-    if (!WriteText(opts_.profile_path, prof::ExportFolded())) ok_ = false;
+    if (!WriteExport(opts_.profile_path, prof::ExportFolded(), "profile")) {
+      ok_ = false;
+    }
     if (!opts_.profile_digest_path.empty() &&
-        !WriteText(opts_.profile_digest_path, prof::ExportDigestJson())) {
+        !WriteExport(opts_.profile_digest_path, prof::ExportDigestJson(),
+                     "profile digest")) {
       ok_ = false;
     }
     std::printf("[prof] %llu samples (%llu dropped, %llu truncated) -> %s\n",
@@ -339,108 +342,10 @@ class ProfileSession {
   }
 
  private:
-  bool WriteText(const std::string& path, const std::string& content) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write profile: %s\n", path.c_str());
-      return false;
-    }
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    return true;
-  }
-
   ObsOptions opts_;
   bool running_ = false;
   bool ok_ = true;
 };
-
-// Arm the incident engine (detectors + SLOs) from the shared flags. The
-// engine must already be bound to the sim (Testbed does this; standalone
-// benches call obs.BindIncidents(&sim) first). Returns false after warning
-// on a malformed --slo clause; a no-op (true) when incidents are off.
-inline bool ConfigureIncidents(obs::Observability& obs, const ObsOptions& o) {
-  if (!o.incidents_enabled()) return true;
-  if (o.flight_capacity > 0) {
-    obs.flight().SetCapacity(static_cast<std::uint32_t>(o.flight_capacity));
-  }
-  // Normalize the dump dir: `dumps`, `dumps/` and `dumps/.` must name the
-  // same directory. The dump writer appends `/dump_<seq>_<type>.json`
-  // verbatim and the resulting path is recorded (and embedded, as a
-  // basename, in the metrics export), so a trailing or redundant separator
-  // would leak `dumps//...` paths whose shape depends on how the flag was
-  // spelled.
-  std::string dump_dir = o.flight_dump_dir;
-  if (!dump_dir.empty()) {
-    dump_dir =
-        std::filesystem::path(dump_dir).lexically_normal().generic_string();
-    while (dump_dir.size() > 1 && dump_dir.back() == '/') dump_dir.pop_back();
-    // The dump writer fopen()s into this directory and silently skips the
-    // dump when it is missing; create it up front so a bare
-    // --flight-dump-dir=dumps works without a pre-made directory.
-    std::error_code ec;
-    std::filesystem::create_directories(dump_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create --flight-dump-dir %s: %s\n",
-                   dump_dir.c_str(), ec.message().c_str());
-      return false;
-    }
-  }
-  obs::AnomalyConfig cfg;
-  cfg.window_ns = o.slo_window_us * 1000;
-  cfg.dump_dir = dump_dir;
-  obs.incidents().Configure(cfg);
-  // --slo=op:target:budget[,op:target:budget...]
-  std::size_t start = 0;
-  while (start < o.slo.size()) {
-    auto end = o.slo.find(',', start);
-    if (end == std::string::npos) end = o.slo.size();
-    const std::string clause = o.slo.substr(start, end - start);
-    start = end + 1;
-    if (clause.empty()) continue;
-    const auto c1 = clause.find(':');
-    const auto c2 = c1 == std::string::npos ? std::string::npos
-                                            : clause.find(':', c1 + 1);
-    if (c2 == std::string::npos) {
-      std::fprintf(stderr, "--slo: want op:target:budget, got \"%s\"\n",
-                   clause.c_str());
-      return false;
-    }
-    const char* op = obs::Incidents::CanonicalOpName(clause.substr(0, c1));
-    const std::int64_t target =
-        ParseDurationNs(clause.substr(c1 + 1, c2 - c1 - 1));
-    const double budget = std::strtod(clause.c_str() + c2 + 1, nullptr);
-    if (op == nullptr || target < 0 || budget <= 0.0 || budget > 1.0) {
-      std::fprintf(stderr, "--slo: bad clause \"%s\"\n", clause.c_str());
-      return false;
-    }
-    obs.incidents().AddSlo(obs::SloSpec{op, target, budget});
-  }
-  return true;
-}
-
-// Close the final window, print a per-anomaly summary, and return the
-// incident report JSON for MetricsJsonWriter::SetIncidentsJson. Returns ""
-// (and prints nothing) when incidents are off.
-inline std::string FinishIncidents(obs::Observability& obs,
-                                   const ObsOptions& o) {
-  if (!o.incidents_enabled()) return std::string();
-  obs.incidents().Flush();
-  const auto& anomalies = obs.incidents().anomalies();
-  std::printf("[incidents] %zu anomalies (%llu suppressed by cooldown)\n",
-              anomalies.size(),
-              static_cast<unsigned long long>(obs.incidents().suppressed()));
-  for (const auto& a : anomalies) {
-    std::printf("[incidents]   #%llu t=%lldns %s on %s value=%lld "
-                "threshold=%lld%s%s\n",
-                static_cast<unsigned long long>(a.seq),
-                static_cast<long long>(a.t), a.type, a.node.c_str(),
-                static_cast<long long>(a.value),
-                static_cast<long long>(a.threshold),
-                a.dump_path.empty() ? "" : " dump=", a.dump_path.c_str());
-  }
-  return obs.incidents().ReportJson();
-}
 
 // Accumulates everything a bench prints into one machine-readable document:
 //
@@ -453,12 +358,14 @@ inline std::string FinishIncidents(obs::Observability& obs,
 class MetricsJsonWriter {
  public:
   void AddCounters(const std::string& label, const HotPathCounters& c) {
-    std::string row = "{\"label\":\"" + JsonEscape(label) + "\",\"ops\":";
-    AppendJsonNumber(&row, c.ops);
+    std::string row = "{\"label\":";
+    json::AppendQuoted(row, label);
+    row += ",\"ops\":";
+    json::AppendNumber(row, c.ops);
     row += ",\"seconds\":";
-    AppendJsonNumber(&row, c.seconds);
+    json::AppendNumber(row, c.seconds);
     row += ",\"ops_per_s\":";
-    AppendJsonNumber(&row, c.seconds > 0 ? c.ops / c.seconds : 0.0);
+    json::AppendNumber(row, c.seconds > 0 ? c.ops / c.seconds : 0.0);
     row += ",\"zk_requests\":" + std::to_string(c.zk_requests);
     row += ",\"zk_failovers\":" + std::to_string(c.zk_failovers);
     row += ",\"cache_hits\":" + std::to_string(c.cache_hits);
@@ -468,13 +375,17 @@ class MetricsJsonWriter {
   }
 
   void AddValue(const std::string& key, double value) {
-    std::string kv = "\"" + JsonEscape(key) + "\":";
-    AppendJsonNumber(&kv, value);
+    std::string kv;
+    json::AppendQuoted(kv, key);
+    kv += ':';
+    json::AppendNumber(kv, value);
     values_.push_back(std::move(kv));
   }
 
   void AddTable(const std::string& title, const SeriesTable& table) {
-    std::string entry = "\"" + JsonEscape(title) + "\":";
+    std::string entry;
+    json::AppendQuoted(entry, title);
+    entry += ':';
     table.AppendJson(&entry);
     tables_.push_back(std::move(entry));
   }
@@ -523,20 +434,6 @@ class MetricsJsonWriter {
     return out;
   }
 
-  // Returns false (and warns) when the file cannot be opened.
-  bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write metrics json: %s\n", path.c_str());
-      return false;
-    }
-    const std::string json = ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
-  }
-
  private:
   std::vector<std::string> configs_;
   std::vector<std::string> values_;
@@ -570,33 +467,22 @@ class BaselineWriter {
   }
 
   std::string ToJson() const {
-    std::string out = "{\"bench\":\"" + JsonEscape(bench_) +
-                      "\",\"schema\":1,\"metrics\":{";
+    std::string out = "{\"bench\":";
+    json::AppendQuoted(out, bench_);
+    out += ",\"schema\":1,\"metrics\":{";
     bool first = true;
     for (const auto& [key, m] : metrics_) {
       if (!first) out += ',';
       first = false;
-      out += '"' + JsonEscape(key) + "\":{\"value\":";
-      AppendJsonNumber(&out, m.value);
+      json::AppendQuoted(out, key);
+      out += ":{\"value\":";
+      json::AppendNumber(out, m.value);
       out += ",\"better\":\"";
       out += m.higher ? "higher" : "lower";
       out += "\"}";
     }
     out += "}}";
     return out;
-  }
-
-  bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write baseline json: %s\n", path.c_str());
-      return false;
-    }
-    const std::string json = ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
   }
 
  private:
@@ -606,6 +492,198 @@ class BaselineWriter {
   };
   std::string bench_;
   std::map<std::string, Metric> metrics_;
+};
+
+// One bench process end to end: parses the bench's flags (its own usage line
+// plus kObsUsage), profiles the whole run, wires the one *observed* run into
+// the exports, and Finish() writes every requested export. A bench keeps
+// only its experiment, its tables (metrics()), its baseline rows
+// (baseline()) and its choice of which run is observed.
+//
+// The observed run is wired in this order, which keeps exports byte-stable:
+//   1. span recording is switched on before the cluster is built (trace ids
+//      ride the modelled wire, so a traced cluster must be traced from birth);
+//   2. ArmIncidents() before the clients mount;
+//   3. StartTimeline() after they mount, once every gauge exists;
+//   4. Capture() when the run ends: Chrome trace, registry, timeline and
+//      incident report.
+// Mount() does 1-3 for an mdtest::Testbed; a bench with its own ensemble
+// (fig07) builds it traced and calls 2 and 3 itself.
+class Harness {
+ public:
+  // A positional argument or a malformed --slo clause exits 2.
+  Harness(int argc, char** argv, std::string name, const std::string& usage)
+      : flags_(argc, argv, name + " " + usage + kObsUsage),
+        opts_(ObsOptions::FromFlags(flags_)),
+        profile_(opts_),
+        baseline_(std::move(name)) {
+    if (!ParseSlos()) std::exit(2);
+  }
+
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
+
+  const Flags& flags() const { return flags_; }
+  const ObsOptions& opts() const { return opts_; }
+  MetricsJsonWriter& metrics() { return metrics_; }
+  BaselineWriter& baseline() { return baseline_; }
+
+  // Builds a testbed and mounts every client; when `observed`, this is the
+  // observed run (steps 1-3 above), to be ended with
+  // Capture(tb->obs(), tb->timeline()).
+  std::unique_ptr<mdtest::Testbed> Mount(mdtest::TestbedConfig config,
+                                         bool observed) {
+    config.enable_trace = observed && opts_.trace_enabled();
+    auto tb = std::make_unique<mdtest::Testbed>(std::move(config));
+    if (observed) ArmIncidents(tb->sim(), tb->obs());
+    tb->MountAll();
+    if (observed) StartTimeline(tb->sim(), tb->obs(), tb->timeline());
+    return tb;
+  }
+
+  // Arms the anomaly detectors and the --slo evaluators; a no-op unless
+  // --slo or --flight-dump-dir is set.
+  void ArmIncidents(sim::Simulation& sim, obs::Observability& obs) {
+    if (!opts_.incidents_enabled()) return;
+    obs.BindIncidents(&sim);
+    if (opts_.flight_capacity > 0) {
+      obs.flight().SetCapacity(
+          static_cast<std::uint32_t>(opts_.flight_capacity));
+    }
+    // Normalize the dump dir: `dumps`, `dumps/` and `dumps/.` must name the
+    // same directory. The dump writer appends `/dump_<seq>_<type>.json`
+    // verbatim and the resulting path is recorded (and embedded, as a
+    // basename, in the metrics export), so a trailing or redundant separator
+    // would leak `dumps//...` paths whose shape depends on how the flag was
+    // spelled.
+    std::string dump_dir = opts_.flight_dump_dir;
+    if (!dump_dir.empty()) {
+      dump_dir =
+          std::filesystem::path(dump_dir).lexically_normal().generic_string();
+      while (dump_dir.size() > 1 && dump_dir.back() == '/') dump_dir.pop_back();
+      // The dump writer fopen()s into this directory and silently skips the
+      // dump when it is missing; create it up front so a bare
+      // --flight-dump-dir=dumps works without a pre-made directory.
+      std::error_code ec;
+      std::filesystem::create_directories(dump_dir, ec);
+      if (ec) {
+        std::fprintf(stderr, "cannot create --flight-dump-dir %s: %s\n",
+                     dump_dir.c_str(), ec.message().c_str());
+        std::exit(1);
+      }
+    }
+    obs::AnomalyConfig cfg;
+    cfg.window_ns = opts_.slo_window_us * 1000;
+    cfg.dump_dir = dump_dir;
+    obs.incidents().Configure(cfg);
+    for (const obs::SloSpec& slo : slos_) obs.incidents().AddSlo(slo);
+  }
+
+  // Samples every gauge registered in `obs` into `timeline` (--timeline).
+  void StartTimeline(sim::Simulation& sim, obs::Observability& obs,
+                     obs::TimelineSampler& timeline) const {
+    if (!opts_.timeline) return;
+    timeline.set_interval(opts_.timeline_interval_ns());
+    timeline.WatchAllGauges(obs.metrics());
+    timeline.Start(sim);
+  }
+
+  // Ends the observed run: closes the incident window (printing one line
+  // per anomaly) and keeps the trace, timeline, incident report and
+  // registry for Finish().
+  void Capture(obs::Observability& obs, const obs::TimelineSampler& timeline) {
+    if (opts_.trace_enabled()) trace_json_ = obs.tracer().ToChromeJson();
+    if (opts_.timeline) metrics_.SetTimelineJson(timeline.ToJson());
+    if (opts_.incidents_enabled()) {
+      metrics_.SetIncidentsJson(FinishIncidents(obs.incidents()));
+    }
+    metrics_.SetRegistryJson(obs.metrics().ToJson());
+  }
+
+  // Stops the profiler and writes every requested export. Returns the exit
+  // status: 1 when the profiler failed to start or any export failed to
+  // write, else 0.
+  int Finish() {
+    profile_.Finish();
+    bool ok = profile_.ok();
+    if (opts_.metrics_enabled()) {
+      ok &= Write(opts_.metrics_path, metrics_.ToJson() + '\n', "metrics");
+    }
+    if (opts_.baseline_enabled()) {
+      ok &= Write(opts_.baseline_path, baseline_.ToJson() + '\n', "baseline");
+    }
+    if (!trace_json_.empty()) {
+      ok &= Write(opts_.trace_path, trace_json_, "trace");
+    }
+    return ok ? 0 : 1;
+  }
+
+ private:
+  // --slo=op:target:budget[,op:target:budget...]
+  bool ParseSlos() {
+    const std::string& spec = opts_.slo;
+    std::size_t start = 0;
+    while (start < spec.size()) {
+      auto end = spec.find(',', start);
+      if (end == std::string::npos) end = spec.size();
+      const std::string clause = spec.substr(start, end - start);
+      start = end + 1;
+      if (clause.empty()) continue;
+      const auto c1 = clause.find(':');
+      const auto c2 = c1 == std::string::npos ? std::string::npos
+                                              : clause.find(':', c1 + 1);
+      if (c2 == std::string::npos) {
+        std::fprintf(stderr, "--slo: want op:target:budget, got \"%s\"\n",
+                     clause.c_str());
+        return false;
+      }
+      const char* op = obs::Incidents::CanonicalOpName(clause.substr(0, c1));
+      const std::int64_t target =
+          ParseDurationNs(clause.substr(c1 + 1, c2 - c1 - 1));
+      const double budget = std::strtod(clause.c_str() + c2 + 1, nullptr);
+      if (op == nullptr || target < 0 || budget <= 0.0 || budget > 1.0) {
+        std::fprintf(stderr, "--slo: bad clause \"%s\"\n", clause.c_str());
+        return false;
+      }
+      slos_.push_back(obs::SloSpec{op, target, budget});
+    }
+    return true;
+  }
+
+  // Closes the final window, prints a per-anomaly summary, and returns the
+  // incident report JSON.
+  static std::string FinishIncidents(obs::Incidents& incidents) {
+    incidents.Flush();
+    const auto& anomalies = incidents.anomalies();
+    std::printf("[incidents] %zu anomalies (%llu suppressed by cooldown)\n",
+                anomalies.size(),
+                static_cast<unsigned long long>(incidents.suppressed()));
+    for (const auto& a : anomalies) {
+      std::printf("[incidents]   #%llu t=%lldns %s on %s value=%lld "
+                  "threshold=%lld%s%s\n",
+                  static_cast<unsigned long long>(a.seq),
+                  static_cast<long long>(a.t), a.type, a.node.c_str(),
+                  static_cast<long long>(a.value),
+                  static_cast<long long>(a.threshold),
+                  a.dump_path.empty() ? "" : " dump=", a.dump_path.c_str());
+    }
+    return incidents.ReportJson();
+  }
+
+  static bool Write(const std::string& path, const std::string& content,
+                    const char* what) {
+    if (!WriteExport(path, content, what)) return false;
+    std::printf("%s written: %s\n", what, path.c_str());
+    return true;
+  }
+
+  Flags flags_;
+  ObsOptions opts_;
+  ProfileSession profile_;
+  BaselineWriter baseline_;
+  MetricsJsonWriter metrics_;
+  std::vector<obs::SloSpec> slos_;
+  std::string trace_json_;
 };
 
 }  // namespace dufs::bench

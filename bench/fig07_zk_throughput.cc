@@ -72,27 +72,17 @@ constexpr const char* kOpNames[] = {"zoo_create", "zoo_delete", "zoo_set",
                                     "zoo_get"};
 
 // One measurement point: `procs` processes over 8 client nodes, each doing
-// `items` back-to-back ops. Returns aggregate ops/sec. The `observed`
-// point (one per run) additionally honours --trace / --timeline and dumps
-// the registry for --metrics-json.
-double Measure(ZkOp op, std::size_t n_servers, std::size_t procs,
-               std::size_t items, std::size_t client_nodes,
-               const bench::ObsOptions* obs_opts = nullptr,
-               bool observed = false, std::string* registry_json = nullptr,
-               std::string* timeline_json = nullptr,
-               std::string* incidents_json = nullptr) {
-  const bool traced =
-      observed && obs_opts != nullptr && obs_opts->trace_enabled();
-  RawEnsemble e(n_servers, client_nodes, traced);
-  if (observed && obs_opts != nullptr) {
-    e.obs.BindIncidents(&e.sim);
-    DUFS_CHECK(bench::ConfigureIncidents(e.obs, *obs_opts));
-  }
+// `items` back-to-back ops. Returns aggregate ops/sec. The `observed` point
+// (one per run) feeds the harness's exports.
+double Measure(bench::Harness& h, bool observed, ZkOp op,
+               std::size_t n_servers, std::size_t procs, std::size_t items,
+               std::size_t client_nodes) {
+  RawEnsemble e(n_servers, client_nodes,
+                observed && h.opts().trace_enabled());
   obs::TimelineSampler timeline;
-  if (observed && obs_opts != nullptr && obs_opts->timeline) {
-    timeline.set_interval(obs_opts->timeline_interval_ns());
-    timeline.WatchAllGauges(e.obs.metrics());
-    timeline.Start(e.sim);
+  if (observed) {
+    h.ArmIncidents(e.sim, e.obs);
+    h.StartTimeline(e.sim, e.obs, timeline);
   }
   auto path_of = [](std::size_t proc, std::size_t i) {
     return "/bench/p" + std::to_string(proc) + "-n" + std::to_string(i);
@@ -163,21 +153,7 @@ double Measure(ZkOp op, std::size_t n_servers, std::size_t procs,
 
   const double secs =
       static_cast<double>(e.sim.now() - start) / sim::kSecond;
-  if (traced) {
-    e.obs.tracer().WriteChromeJson(obs_opts->trace_path);
-    std::fprintf(stderr, "[fig07] trace written: %s (%zu spans)\n",
-                 obs_opts->trace_path.c_str(), e.obs.tracer().events().size());
-  }
-  if (observed && registry_json != nullptr) {
-    *registry_json = e.obs.metrics().ToJson();
-  }
-  if (observed && timeline_json != nullptr && obs_opts != nullptr &&
-      obs_opts->timeline) {
-    *timeline_json = timeline.ToJson();
-  }
-  if (observed && incidents_json != nullptr && obs_opts != nullptr) {
-    *incidents_json = bench::FinishIncidents(e.obs, *obs_opts);
-  }
+  if (observed) h.Capture(e.obs, timeline);
   return static_cast<double>(procs * items) / secs;
 }
 
@@ -186,24 +162,17 @@ double Measure(ZkOp op, std::size_t n_servers, std::size_t procs,
 
 int main(int argc, char** argv) {
   using namespace dufs;
-  bench::Flags flags(argc, argv,
-                     "fig07_zk_throughput [--procs=8,16,...] [--items=N] "
-                     "[--servers=1,4,8] [--client-nodes=8] "
-                     "[--metrics-json=PATH] [--trace=PATH] [--timeline] "
-                     "[--timeline-us=200] [--slo=op:target:budget] "
-                     "[--flight-dump-dir=DIR] [--slo-window-us=N] "
-                     "[--flight-capacity=N]");
+  bench::Harness h(argc, argv, "fig07_zk_throughput",
+                   "[--procs=8,16,...] [--items=N] [--servers=1,4,8] "
+                   "[--client-nodes=8]");
+  const bench::Flags& flags = h.flags();
   const auto procs = flags.IntList("procs", {8, 16, 32, 64, 128, 192, 256});
   const auto servers = flags.IntList("servers", {1, 4, 8});
   const auto items = static_cast<std::size_t>(flags.Int("items", 40));
   const auto nodes = static_cast<std::size_t>(flags.Int("client-nodes", 8));
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
 
   std::printf("Figure 7: ZooKeeper throughput for basic operations\n");
   std::printf("(ops/sec; %zu ops/process; 8 client nodes)\n", items);
-  bench::MetricsJsonWriter out;
-  std::string registry_json, timeline_json, incidents_json;
   for (int op = 0; op < 4; ++op) {
     std::vector<std::string> series;
     series.reserve(servers.size());
@@ -220,11 +189,9 @@ int main(int argc, char** argv) {
         // (zoo_get, largest ensemble, most processes).
         const bool observed = op == 3 && pi + 1 == procs.size() &&
                               si + 1 == servers.size();
-        row.push_back(Measure(static_cast<ZkOp>(op),
+        row.push_back(Measure(h, observed, static_cast<ZkOp>(op),
                               static_cast<std::size_t>(s),
-                              static_cast<std::size_t>(p), items, nodes,
-                              &obs_opts, observed, &registry_json,
-                              &timeline_json, &incidents_json));
+                              static_cast<std::size_t>(p), items, nodes));
       }
       table.AddRow(p, std::move(row));
     }
@@ -232,13 +199,7 @@ int main(int argc, char** argv) {
                               static_cast<char>('a' + op) + ": " +
                               kOpNames[op];
     table.Print(title);
-    out.AddTable(title, table);
+    h.metrics().AddTable(title, table);
   }
-  if (obs_opts.metrics_enabled()) {
-    out.SetTimelineJson(timeline_json);
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(registry_json);
-    out.WriteFile(obs_opts.metrics_path);
-  }
-  return 0;
+  return h.Finish();
 }

@@ -32,12 +32,9 @@ struct System {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv,
-                     "fig10_native_compare [--procs=16,...,256] [--items=N] "
-                     "[--quick] [--metrics-json=PATH] [--trace=PATH] "
-                     "[--timeline] [--timeline-us=200] [--baseline=PATH] "
-                     "[--slo=op:target:budget] [--flight-dump-dir=DIR] "
-                     "[--slo-window-us=N] [--flight-capacity=N]");
+  bench::Harness h(argc, argv, "fig10_native_compare",
+                   "[--procs=16,...,256] [--items=N] [--quick]");
+  const bench::Flags& flags = h.flags();
   std::vector<long> procs_list =
       flags.IntList("procs", {16, 32, 64, 128, 192, 256});
   std::size_t items = static_cast<std::size_t>(flags.Int("items", 25));
@@ -45,10 +42,6 @@ int main(int argc, char** argv) {
     procs_list = {64, 256};
     items = 10;
   }
-  // --trace records the DUFS-over-Lustre system only (one span per op and
-  // per RPC — pair it with --quick to keep the file reviewable).
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
 
   const System systems[] = {
       {"Basic Lustre", BackendKind::kLustre, Target::kBaseline},
@@ -61,29 +54,18 @@ int main(int argc, char** argv) {
                          Phase::kFileRemove, Phase::kFileStat};
 
   std::map<Phase, std::map<std::string, std::map<long, double>>> results;
-  std::string registry_json, timeline_json, incidents_json;
 
   for (const auto& system : systems) {
     TestbedConfig config;
     config.backend = system.backend;
     config.backend_instances = 2;
     config.zk_servers = 8;
-    const bool traced = obs_opts.trace_enabled() &&
-                        system.target == Target::kDufs &&
-                        system.backend == BackendKind::kLustre;
-    // The timeline and registry dump follow the same designated system as
-    // the trace: DUFS over Lustre.
+    // The observed system is DUFS over Lustre (--trace records one span per
+    // op and per RPC — pair it with --quick to keep the file reviewable).
     const bool observed = system.target == Target::kDufs &&
                           system.backend == BackendKind::kLustre;
-    config.enable_trace = traced;
-    Testbed tb(config);
-    if (observed) {
-      DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), obs_opts));
-    }
-    tb.MountAll();
-    if (observed && obs_opts.timeline) {
-      tb.StartTimeline(obs_opts.timeline_interval_ns());
-    }
+    const auto testbed = h.Mount(config, observed);
+    Testbed& tb = *testbed;
     for (long procs : procs_list) {
       MdtestConfig mc;
       mc.processes = static_cast<std::size_t>(procs);
@@ -104,21 +86,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[fig10] %s procs=%ld done\n",
                    system.name.c_str(), procs);
     }
-    if (traced) {
-      tb.obs().tracer().WriteChromeJson(obs_opts.trace_path);
-      std::fprintf(stderr, "[fig10] trace written: %s (%zu spans)\n",
-                   obs_opts.trace_path.c_str(),
-                   tb.obs().tracer().events().size());
-    }
-    if (observed) {
-      registry_json = tb.obs().metrics().ToJson();
-      if (obs_opts.timeline) timeline_json = tb.timeline().ToJson();
-      incidents_json = bench::FinishIncidents(tb.obs(), obs_opts);
-    }
+    if (observed) h.Capture(tb.obs(), tb.timeline());
   }
 
   std::printf("Figure 10: DUFS vs native Lustre and PVFS2 (ops/sec)\n");
-  bench::MetricsJsonWriter out;
   const char sub[] = {'a', 'b', 'c', 'd', 'e', 'f'};
   for (int i = 0; i < 6; ++i) {
     std::vector<std::string> series;
@@ -132,13 +103,7 @@ int main(int argc, char** argv) {
     const std::string title = std::string("Fig 10") + sub[i] + ": " +
                               std::string(mdtest::PhaseName(order[i]));
     table.Print(title);
-    out.AddTable(title, table);
-  }
-  if (obs_opts.metrics_enabled()) {
-    out.SetTimelineJson(timeline_json);
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(registry_json);
-    out.WriteFile(obs_opts.metrics_path);
+    h.metrics().AddTable(title, table);
   }
 
   // The paper's §V-D headline ratios at the largest measured scale.
@@ -158,29 +123,21 @@ int main(int argc, char** argv) {
   std::printf("file-stat   DUFS/PVFS:   %4.1fx  (paper  3.0x)\n",
               ratio(Phase::kFileStat, "DUFS 2xPVFS", "Basic PVFS"));
 
-  if (obs_opts.baseline_enabled()) {
-    bench::BaselineWriter base("fig10_native_compare");
-    for (const Phase phase : order) {
-      base.AddHigherBetter(
-          "dufs_lustre." + std::string(mdtest::PhaseName(phase)) +
-              ".ops_per_s",
-          results[phase]["DUFS 2xLustre"][top]);
-    }
+  auto& base = h.baseline();
+  for (const Phase phase : order) {
     base.AddHigherBetter(
-        "ratio.dir_create.dufs_over_lustre",
-        ratio(Phase::kDirCreate, "DUFS 2xLustre", "Basic Lustre"));
-    base.AddHigherBetter(
-        "ratio.dir_create.dufs_over_pvfs",
-        ratio(Phase::kDirCreate, "DUFS 2xPVFS", "Basic PVFS"));
-    base.AddHigherBetter(
-        "ratio.file_stat.dufs_over_lustre",
-        ratio(Phase::kFileStat, "DUFS 2xLustre", "Basic Lustre"));
-    base.AddHigherBetter(
-        "ratio.file_stat.dufs_over_pvfs",
-        ratio(Phase::kFileStat, "DUFS 2xPVFS", "Basic PVFS"));
-    if (base.WriteFile(obs_opts.baseline_path)) {
-      std::printf("baseline written: %s\n", obs_opts.baseline_path.c_str());
-    }
+        "dufs_lustre." + std::string(mdtest::PhaseName(phase)) + ".ops_per_s",
+        results[phase]["DUFS 2xLustre"][top]);
   }
-  return 0;
+  base.AddHigherBetter(
+      "ratio.dir_create.dufs_over_lustre",
+      ratio(Phase::kDirCreate, "DUFS 2xLustre", "Basic Lustre"));
+  base.AddHigherBetter("ratio.dir_create.dufs_over_pvfs",
+                       ratio(Phase::kDirCreate, "DUFS 2xPVFS", "Basic PVFS"));
+  base.AddHigherBetter(
+      "ratio.file_stat.dufs_over_lustre",
+      ratio(Phase::kFileStat, "DUFS 2xLustre", "Basic Lustre"));
+  base.AddHigherBetter("ratio.file_stat.dufs_over_pvfs",
+                       ratio(Phase::kFileStat, "DUFS 2xPVFS", "Basic PVFS"));
+  return h.Finish();
 }

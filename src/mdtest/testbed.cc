@@ -198,13 +198,6 @@ void Testbed::MountAll() {
   }(*this));
 }
 
-void Testbed::StartTimeline(sim::Duration interval) {
-  timeline_.Stop();
-  timeline_.set_interval(interval);
-  timeline_.WatchAllGauges(obs_.metrics());
-  timeline_.Start(*sim_);
-}
-
 std::size_t Testbed::ZkMemoryBytes() const {
   std::size_t total = 0;
   for (const auto& server : zk_servers_) {

@@ -95,10 +95,9 @@ class Testbed {
   // Connects every ZK session and mounts every DUFS client (runs the sim).
   void MountAll();
 
-  // Starts (or restarts) a timeline sampler over every gauge currently
-  // registered — call after MountAll so all components have attached their
-  // observability. Export with timeline().ToJson().
-  void StartTimeline(sim::Duration interval);
+  // Idle until started over every registered gauge — after MountAll, so all
+  // components have attached their observability (bench::Harness does this
+  // for --timeline). Export with timeline().ToJson().
   obs::TimelineSampler& timeline() { return timeline_; }
 
   // Sum of EstimateMemoryBytes over live ZK replicas (Fig. 11 input).

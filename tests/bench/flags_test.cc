@@ -8,12 +8,18 @@
 namespace dufs::bench {
 namespace {
 
-// Builds a Flags from a plain argument list ("prog" is prepended).
-Flags Make(std::vector<std::string> args) {
-  std::vector<char*> argv;
+// argv for a plain argument list ("prog" is prepended); `args` must outlive
+// it.
+std::vector<char*> Argv(std::vector<std::string>& args) {
   static std::string prog = "prog";
-  argv.push_back(prog.data());
+  std::vector<char*> argv{prog.data()};
   for (auto& a : args) argv.push_back(a.data());
+  return argv;
+}
+
+// Builds a Flags from a plain argument list.
+Flags Make(std::vector<std::string> args) {
+  auto argv = Argv(args);
   return Flags(static_cast<int>(argv.size()), argv.data(), "usage text");
 }
 
@@ -84,9 +90,14 @@ TEST(FlagsTest, SingleElementIntList) {
 }
 
 TEST(JsonHelpersTest, JsonEscape) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json::Escape("plain"), "plain");
+  EXPECT_EQ(json::Escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(json::Escape(std::string(1, '\x01')), "\\u0001");
+  std::string out;
+  json::AppendQuoted(out, "k");
+  out += ':';
+  json::AppendNumber(out, 0.1);
+  EXPECT_EQ(out, "\"k\":0.10000000000000001");
 }
 
 TEST(JsonHelpersTest, MetricsJsonWriterShape) {
@@ -108,6 +119,35 @@ TEST(JsonHelpersTest, MetricsJsonWriterShape) {
   EXPECT_NE(json.find("\"readdir_us\":12.5"), std::string::npos);
   EXPECT_NE(json.find("\"rows\":[[64,10,5]]"), std::string::npos);
   EXPECT_NE(json.find("\"registry\":{\"nodes\":{}}"), std::string::npos);
+}
+
+// Runs a Harness over a plain argument list, as a bench's main would.
+int FinishWith(std::vector<std::string> args) {
+  auto argv = Argv(args);
+  Harness h(static_cast<int>(argv.size()), argv.data(), "prog", "");
+  h.metrics().AddValue("x", 1);
+  h.baseline().AddHigherBetter("x", 1);
+  return h.Finish();
+}
+
+TEST(HarnessTest, FinishWritesRequestedExports) {
+  const std::string dir = testing::TempDir();
+  EXPECT_EQ(FinishWith({}), 0);
+  EXPECT_EQ(FinishWith({"--metrics-json=" + dir + "/harness_m.json",
+                        "--baseline=" + dir + "/harness_b.json"}),
+            0);
+}
+
+TEST(HarnessTest, FinishFailsWhenAnExportCannotBeWritten) {
+  EXPECT_EQ(FinishWith({"--metrics-json=/nonexistent/m.json"}), 1);
+  EXPECT_EQ(FinishWith({"--baseline=/nonexistent/b.json"}), 1);
+}
+
+TEST(HarnessDeathTest, MalformedSloExitsWithUsageError) {
+  EXPECT_EXIT(FinishWith({"--slo=create:2ms"}), testing::ExitedWithCode(2),
+              "want op:target:budget");
+  EXPECT_EXIT(FinishWith({"--slo=bogus:2ms:0.1"}), testing::ExitedWithCode(2),
+              "bad clause");
 }
 
 }  // namespace
