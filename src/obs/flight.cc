@@ -5,7 +5,6 @@
 
 #include <string>  // dufs-lint: allow(obs-hot-path-alloc) dump serialization
 
-#include "common/json_format.h"
 #include "obs/trace.h"
 
 namespace dufs::obs {
@@ -22,31 +21,10 @@ std::string FlightRecorder::DumpJson(
     out += ',';
   }
   out += "\"traceEvents\":[";
-  bool first = true;
-  // Same track metadata as Tracer::ToChromeJson: tracestats and trace
-  // viewers resolve tids to node names identically for dumps and traces.
-  const auto& tracks = tracer.tracks();
-  for (TrackId i = 0; i < tracks.size(); ++i) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    json::AppendEscaped(out, tracks[i]);
-    out += "\"}}";
-  }
+  detail::AppendTrackMetadata(out, tracer.tracks());
   for (TrackId t = 0; t < rings_.size(); ++t) {
     ForEach(t, [&](const Record& rec) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(t + 1) +
-             ",\"name\":\"";
-      json::AppendEscaped(out, rec.name);
-      out += "\",\"cat\":\"";
-      json::AppendEscaped(out, rec.cat);
-      out += "\",\"ts\":";
-      detail::AppendJsonMicros(out, rec.start);
-      out += ",\"dur\":";
-      detail::AppendJsonMicros(out, rec.dur);
+      detail::AppendEventHead(out, t, rec.name, rec.cat, rec.start, rec.dur);
       out += ",\"args\":{\"seq\":" + std::to_string(rec.seq);
       if (rec.trace != 0) {
         out += ",\"trace\":" + std::to_string(rec.trace);

@@ -10,7 +10,7 @@
 
 namespace dufs::obs {
 
-namespace detail {
+namespace {
 
 // Chrome traces use microsecond timestamps; the sim is nanosecond-grained.
 // Print exactly three decimals ("12.345") so nothing is lost and equal
@@ -22,12 +22,42 @@ void AppendJsonMicros(std::string& out, std::int64_t ns) {
   out += buf;
 }
 
-}  // namespace detail
+void AppendSeparator(std::string& out) {
+  if (out.back() != '[') out += ',';
+}
 
-namespace {
-using detail::AppendJsonMicros;
-using json::AppendEscaped;
 }  // namespace
+
+namespace detail {
+
+// pid is always 1 (one simulated cluster); tid = track + 1 because tid 0
+// renders oddly in some viewers.
+void AppendTrackMetadata(std::string& out,
+                         const std::vector<std::string>& tracks) {
+  for (TrackId i = 0; i < tracks.size(); ++i) {
+    AppendSeparator(out);
+    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
+           ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+    json::AppendEscaped(out, tracks[i]);
+    out += "\"}}";
+  }
+}
+
+void AppendEventHead(std::string& out, TrackId track, const char* name,
+                     const char* cat, sim::SimTime start, sim::Duration dur) {
+  AppendSeparator(out);
+  out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(track + 1) +
+         ",\"name\":\"";
+  json::AppendEscaped(out, name);
+  out += "\",\"cat\":\"";
+  json::AppendEscaped(out, cat);
+  out += "\",\"ts\":";
+  AppendJsonMicros(out, start);
+  out += ",\"dur\":";
+  AppendJsonMicros(out, dur);
+}
+
+}  // namespace detail
 
 TrackId Tracer::Track(const std::string& name) {
   for (TrackId i = 0; i < tracks_.size(); ++i) {
@@ -50,44 +80,21 @@ void Tracer::Complete(TrackId track, const char* name, const char* cat,
 }
 
 std::string Tracer::ToChromeJson() const {
+  // Metadata first, so Perfetto shows node names instead of bare tids.
   std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  // Metadata first: name each track so Perfetto shows node names instead of
-  // bare tids. pid is always 1 (one simulated cluster), tid = track + 1
-  // (tid 0 renders oddly in some viewers).
-  for (TrackId i = 0; i < tracks_.size(); ++i) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    AppendEscaped(out, tracks_[i]);
-    out += "\"}}";
-  }
+  detail::AppendTrackMetadata(out, tracks_);
   for (const Event& e : events_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(e.track + 1) +
-           ",\"name\":\"";
-    AppendEscaped(out, e.name);
-    out += "\",\"cat\":\"";
-    AppendEscaped(out, e.cat);
-    out += "\",\"ts\":";
-    AppendJsonMicros(out, e.start);
-    out += ",\"dur\":";
-    AppendJsonMicros(out, e.dur);
+    detail::AppendEventHead(out, e.track, e.name, e.cat, e.start, e.dur);
     out += ",\"args\":{";
     if (e.trace != 0) {
       out += "\"trace\":" + std::to_string(e.trace);
     }
     for (const Arg& a : e.args) {
       if (out.back() != '{') out += ',';
-      out += '"';
-      AppendEscaped(out, a.key);
-      out += "\":";
+      json::AppendQuoted(out, a.key);
+      out += ':';
       if (a.is_string) {
-        out += '"';
-        AppendEscaped(out, a.str);
-        out += '"';
+        json::AppendQuoted(out, a.str);
       } else {
         out += std::to_string(a.num);
       }

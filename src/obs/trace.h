@@ -51,10 +51,19 @@ using TrackId = std::uint32_t;  // one per sim node ("thread" in the export)
 class FlightRecorder;  // flight.h
 
 namespace detail {
-// Shared by the tracer export and the flight-recorder dump (defined in
-// trace.cc): the fixed three-decimal microsecond formatting that keeps
+// The Chrome trace_event writers shared by Tracer::ToChromeJson and
+// FlightRecorder::DumpJson (defined in trace.cc), so tracestats and trace
+// viewers read full traces and dumps identically. Each appends its event(s)
+// to a "traceEvents" array, comma-separated from whatever precedes them.
+//
+// One "M" thread_name event per track: tid = track + 1, named after it.
+void AppendTrackMetadata(std::string& out,
+                         const std::vector<std::string>& tracks);
+// The head of one "X" event, through "dur"; the caller appends
+// `,"args":{...}}`. ts/dur are fixed three-decimal microseconds, which keeps
 // exports byte-stable.
-void AppendJsonMicros(std::string& out, std::int64_t ns);
+void AppendEventHead(std::string& out, TrackId track, const char* name,
+                     const char* cat, sim::SimTime start, sim::Duration dur);
 }  // namespace detail
 
 class Tracer {

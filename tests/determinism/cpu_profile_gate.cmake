@@ -50,12 +50,14 @@ if(NOT diff EQUAL 0)
     "or the event order is nondeterministic")
 endif()
 
-# 5 share-points of drift on any frame holding >= 1% fails the gate.
+# 5 share-points of drift on any frame holding >= 1% fails the gate. The
+# verdict table is kept as ${WORKDIR}/cpu_profile_report.txt.
 execute_process(
   COMMAND "${PROFSTATS}" --compare "${BASELINE}" "${WORKDIR}/prof_1.folded"
     --tolerance=0.05 --min-share=0.01
   OUTPUT_VARIABLE report
   RESULT_VARIABLE rc)
+file(WRITE "${WORKDIR}/cpu_profile_report.txt" "${report}")
 message(STATUS "profstats --compare vs baseline:\n${report}")
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR

@@ -1,7 +1,7 @@
 // Tests for the cross-TU analyzer (stage B): symbol-table extraction, the
-// call graph, the interprocedural dataflow rules, and the stage-A parse
-// cache. The on-disk fixture mini-tree (tests/lint/fixtures/tree, path baked
-// in as DUFS_LINT_FIXTURE_TREE) pins each rule's TP/TN/suppression behavior
+// call graph and the interprocedural dataflow rules. The on-disk fixture
+// mini-tree (tests/lint/fixtures/tree, path baked in as
+// DUFS_LINT_FIXTURE_TREE) pins each rule's TP/TN/suppression behavior
 // against real files; the inline tests pin individual extraction facts.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <tuple>
 #include <vector>
 
-#include "cache.h"
 #include "callgraph.h"
 #include "dataflow.h"
 #include "lexer.h"
@@ -264,69 +263,6 @@ TEST(CallGraphTest, ReachabilityIsTransitiveInBothDirections) {
   // Render runs while the export is being produced.
   EXPECT_TRUE(graph.CalledFromSink("Render"));
   EXPECT_FALSE(graph.CalledFromSink("Leaf"));
-}
-
-// --- stage-A parse cache ---------------------------------------------------
-
-const char kCacheSource[] =
-    "sim::Task<void> Flush(int epoch);\n"
-    "auto FlushSoon(int e) { return Flush(e); }\n"
-    "std::string ToJson() {\n"
-    "  std::string out;\n"
-    "  for (const auto& [k, v] : index_) { out += k; }\n"
-    "  return out;\n"
-    "}\n"
-    "std::unordered_map<std::string, int> index_;\n"
-    "void Tick() {\n"
-    "  rand();  // dufs-lint: allow(sim-time-source)\n"
-    "}\n";
-
-TEST(CacheTest, SerializeParseRoundTripIsLossless) {
-  const FileArtifacts a = AnalyzeFile("src/cached.cc", kCacheSource);
-  const std::string blob = SerializeArtifacts(a);
-  const auto parsed = ParseArtifacts(blob);
-  ASSERT_TRUE(parsed.has_value());
-  // Re-serialization must reproduce the exact bytes: everything stage B
-  // consumes survived the round trip.
-  EXPECT_EQ(SerializeArtifacts(*parsed), blob);
-
-  // And stage B must not be able to tell the difference.
-  Linter fresh, cached;
-  fresh.AddFile("src/cached.cc", kCacheSource);
-  cached.AddArtifacts(*parsed);
-  EXPECT_EQ(Keys(fresh.Run()), Keys(cached.Run()));
-}
-
-TEST(CacheTest, VersionOrCorruptionIsACacheMiss) {
-  const FileArtifacts a = AnalyzeFile("src/cached.cc", kCacheSource);
-  std::string blob = SerializeArtifacts(a);
-  EXPECT_FALSE(ParseArtifacts("dufs-lint-cache-v1\n" + blob).has_value());
-  // Unknown record before the end marker; truncation (no end marker).
-  const std::string no_end = blob.substr(0, blob.size() - 4);
-  EXPECT_FALSE(ParseArtifacts(no_end + "garbage record\nend\n").has_value());
-  EXPECT_FALSE(ParseArtifacts(no_end).has_value());
-  EXPECT_FALSE(
-      ParseArtifacts(blob.substr(0, blob.size() / 2)).has_value());
-  EXPECT_FALSE(ParseArtifacts("").has_value());
-}
-
-TEST(CacheTest, DiskRoundTripAndKeySensitivity) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / "dufs_lint_cache").string();
-  fs::remove_all(dir);
-  const std::string key = CacheKey("src/cached.cc", kCacheSource);
-  EXPECT_FALSE(LoadCachedArtifacts(dir, key).has_value());
-
-  const FileArtifacts a = AnalyzeFile("src/cached.cc", kCacheSource);
-  StoreCachedArtifacts(dir, key, a);
-  const auto loaded = LoadCachedArtifacts(dir, key);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(SerializeArtifacts(*loaded), SerializeArtifacts(a));
-
-  // Any change to path or content must move to a different key.
-  EXPECT_NE(CacheKey("src/other.cc", kCacheSource), key);
-  EXPECT_NE(CacheKey("src/cached.cc", std::string(kCacheSource) + "\n"), key);
-  fs::remove_all(dir);
 }
 
 }  // namespace

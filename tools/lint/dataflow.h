@@ -1,7 +1,6 @@
 // Interprocedural dataflow rules over the cross-TU symbol table and call
-// graph. This is stage B of the analyzer: stage A (per-file lexing, local
-// rules, FileSummary extraction) is cacheable; everything here runs fresh on
-// every invocation over the collected summaries.
+// graph. This is stage B of the analyzer; it runs over the summaries stage A
+// (per-file lexing, local rules, FileSummary extraction) collected.
 //
 // Rules:
 //   task-discard            — statement-level discard of a direct
@@ -35,9 +34,9 @@
 
 namespace dufs::lint {
 
-// `direct_task` is the unambiguous Task-returning name set (the historical
-// Linter::TaskFunctionNames semantics: declared Task-returning somewhere,
-// never declared with an ordinary return type).
+// `direct_task` is the unambiguous Task-returning name set
+// (Linter::TaskFunctionNames: declared Task-returning somewhere, never
+// declared with an ordinary return type).
 void RunDataflow(const SymbolTable& sym, const CallGraph& graph,
                  const std::set<std::string>& direct_task,
                  std::vector<Finding>* out);

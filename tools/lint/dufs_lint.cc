@@ -1,23 +1,18 @@
 // dufs_lint — repo-specific static analysis for the DUFS tree.
 //
 //   dufs_lint [--root=DIR] [--format=text|json] [--rule=a,b] [--explain]
-//             [--sarif=FILE] [--baseline=FILE] [--write-baseline=FILE]
-//             [--cache-dir=DIR] [--werror] [paths...]
+//             [--sarif=FILE] [paths...]
 //
 // With no explicit paths, walks src/, bench/, and tests/ under --root
 // (default: current directory) over *.h/*.cc, applies the per-file rules
 // plus the cross-TU dataflow rules (see DESIGN.md §12), and prints
-// findings. Exit status: 0 clean (warn-severity findings do not fail unless
-// --werror), 1 error findings, 2 usage or I/O error.
+// findings. Exit status: 0 clean, 1 any finding (error or warn severity),
+// 2 usage or I/O error, including a report that cannot be written.
 //
-// `--cache-dir=DIR` memoizes the per-file parse on disk keyed by content
-// hash; the cross-TU pass always runs fresh, so results are identical warm
-// or cold. `--baseline=FILE` suppresses findings whose `file:line:rule`
-// fingerprint is listed (intentional debt); `--write-baseline=FILE`
-// snapshots the current findings into that format. `--sarif=FILE` writes a
-// SARIF 2.1.0 log alongside the normal output. `--format=json` emits a
-// machine-readable findings array; `--explain` documents each rule with a
-// bad/good example and exits.
+// The only suppression is an in-place `// dufs-lint: allow(<rule>)`
+// annotation. `--sarif=FILE` writes a SARIF 2.1.0 log alongside the normal
+// output. `--format=json` emits a machine-readable findings array;
+// `--explain` documents each rule with a bad/good example and exits.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -28,8 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "cache.h"
 #include "common/json_format.h"
+#include "common/write_output.h"
 #include "finding.h"
 #include "rules.h"
 
@@ -37,7 +32,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using dufs::json::Escape;
-using dufs::lint::FileArtifacts;
 using dufs::lint::Finding;
 using dufs::lint::Linter;
 using dufs::lint::RuleDocs;
@@ -50,11 +44,7 @@ struct Options {
   std::string format = "text";
   std::set<std::string> rule_filter;  // empty = all rules
   bool explain = false;
-  bool werror = false;
   std::string sarif_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string cache_dir;
   std::vector<std::string> paths;
 };
 
@@ -63,9 +53,7 @@ int Usage() {
       stderr,
       "usage: dufs_lint [--root=DIR] [--format=text|json] [--rule=a,b] "
       "[--explain]\n"
-      "                 [--sarif=FILE] [--baseline=FILE] "
-      "[--write-baseline=FILE]\n"
-      "                 [--cache-dir=DIR] [--werror] [paths...]\n");
+      "                 [--sarif=FILE] [paths...]\n");
   return 2;
 }
 
@@ -97,14 +85,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       }
     } else if (const char* v = value("--sarif")) {
       opt->sarif_path = v;
-    } else if (const char* v = value("--baseline")) {
-      opt->baseline_path = v;
-    } else if (const char* v = value("--write-baseline")) {
-      opt->write_baseline_path = v;
-    } else if (const char* v = value("--cache-dir")) {
-      opt->cache_dir = v;
-    } else if (arg == "--werror") {
-      opt->werror = true;
     } else if (arg == "--explain") {
       opt->explain = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -128,9 +108,7 @@ void Explain() {
   std::printf(
       "\nSuppress a finding with `// dufs-lint: allow(<rule>)` on the "
       "offending line or alone on the line above (give a reason). "
-      "Intentional debt lives in the baseline file "
-      "(tools/lint/baseline.txt); refresh it with "
-      "tools/lint/update_baseline.sh.\n");
+      "Every unsuppressed finding, warn or error, fails the run.\n");
 }
 
 bool IsSourceFile(const fs::path& p) {
@@ -182,39 +160,6 @@ std::vector<std::string> CollectFiles(const Options& opt) {
   return files;
 }
 
-std::string Fingerprint(const Finding& f) {
-  return f.file + ":" + std::to_string(f.line) + ":" + f.rule;
-}
-
-// Baseline format: one `file:line:rule` fingerprint per line; blank lines
-// and `#` comments ignored.
-bool LoadBaseline(const std::string& path, std::set<std::string>* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
-    }
-    if (line.empty() || line[0] == '#') continue;
-    out->insert(line);
-  }
-  return true;
-}
-
-bool WriteBaseline(const std::string& path,
-                   const std::vector<Finding>& findings) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << "# dufs_lint findings baseline — intentional debt only.\n"
-      << "# One `file:line:rule` fingerprint per line; regenerate with\n"
-      << "# tools/lint/update_baseline.sh after deliberate changes.\n";
-  std::set<std::string> prints;
-  for (const auto& f : findings) prints.insert(Fingerprint(f));
-  for (const auto& p : prints) out << p << '\n';
-  return static_cast<bool>(out);
-}
-
 // Minimal valid SARIF 2.1.0: one run, rule metadata from RuleDocs(), one
 // result per finding with a physical location.
 bool WriteSarif(const std::string& path,
@@ -252,10 +197,7 @@ bool WriteSarif(const std::string& path,
            std::to_string(f.line > 0 ? f.line : 1) + "}}}]}";
   }
   out += "]}]}\n";
-  std::ofstream file(path, std::ios::trunc | std::ios::binary);
-  if (!file) return false;
-  file << out;
-  return static_cast<bool>(file);
+  return dufs::WriteOutput("dufs_lint", path, out);
 }
 
 }  // namespace
@@ -276,7 +218,6 @@ int main(int argc, char** argv) {
                  opt.root.c_str());
     return 2;
   }
-  std::size_t cache_hits = 0;
   for (const auto& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) {
@@ -285,20 +226,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream content;
     content << in.rdbuf();
-    const std::string rel = RelativePath(file, root);
-    if (opt.cache_dir.empty()) {
-      linter.AddFile(rel, content.str());
-      continue;
-    }
-    const std::string key = dufs::lint::CacheKey(rel, content.str());
-    if (auto cached = dufs::lint::LoadCachedArtifacts(opt.cache_dir, key)) {
-      ++cache_hits;
-      linter.AddArtifacts(std::move(*cached));
-      continue;
-    }
-    FileArtifacts fresh = dufs::lint::AnalyzeFile(rel, content.str());
-    dufs::lint::StoreCachedArtifacts(opt.cache_dir, key, fresh);
-    linter.AddArtifacts(std::move(fresh));
+    linter.AddFile(RelativePath(file, root), content.str());
   }
 
   std::vector<Finding> findings = linter.Run();
@@ -308,49 +236,13 @@ int main(int argc, char** argv) {
     });
   }
 
-  if (!opt.write_baseline_path.empty()) {
-    if (!WriteBaseline(opt.write_baseline_path, findings)) {
-      std::fprintf(stderr, "dufs_lint: cannot write baseline %s\n",
-                   opt.write_baseline_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "dufs_lint: wrote %zu fingerprint(s) to %s\n",
-                 findings.size(), opt.write_baseline_path.c_str());
-    return 0;
-  }
-
-  std::size_t baselined = 0;
-  if (!opt.baseline_path.empty()) {
-    std::set<std::string> baseline;
-    if (!LoadBaseline(opt.baseline_path, &baseline)) {
-      std::fprintf(stderr, "dufs_lint: cannot read baseline %s\n",
-                   opt.baseline_path.c_str());
-      return 2;
-    }
-    std::erase_if(findings, [&baseline, &baselined](const Finding& f) {
-      const bool hit = baseline.count(Fingerprint(f)) > 0;
-      baselined += hit ? 1 : 0;
-      return hit;
-    });
-  }
-
   if (!opt.sarif_path.empty() && !WriteSarif(opt.sarif_path, findings)) {
-    std::fprintf(stderr, "dufs_lint: cannot write SARIF %s\n",
-                 opt.sarif_path.c_str());
     return 2;
   }
 
-  std::size_t errors = 0, warns = 0;
-  for (const Finding& f : findings) {
-    if (RuleSeverity(f.rule) == Severity::kWarn) {
-      ++warns;
-    } else {
-      ++errors;
-    }
-  }
-
+  std::string out;
   if (opt.format == "json") {
-    std::string out = "{\"findings\":[";
+    out = "{\"findings\":[";
     for (std::size_t i = 0; i < findings.size(); ++i) {
       const Finding& f = findings[i];
       if (i > 0) out += ',';
@@ -362,22 +254,17 @@ int main(int argc, char** argv) {
       out += "\",\"message\":\"" + Escape(f.message) + "\"}";
     }
     out += "],\"files_scanned\":" + std::to_string(files.size()) + "}\n";
-    std::fputs(out.c_str(), stdout);
   } else {
     for (const Finding& f : findings) {
-      std::printf("%s:%d: [%s] %s: %s\n", f.file.c_str(), f.line,
-                  SeverityName(RuleSeverity(f.rule)), f.rule.c_str(),
-                  f.message.c_str());
+      out += f.file + ":" + std::to_string(f.line) + ": [" +
+             SeverityName(RuleSeverity(f.rule)) + "] " + f.rule + ": " +
+             f.message + "\n";
     }
-    std::fprintf(stderr, "dufs_lint: %zu finding(s) in %zu file(s)",
-                 findings.size(), files.size());
-    if (baselined > 0) std::fprintf(stderr, ", %zu baselined", baselined);
-    if (!opt.cache_dir.empty()) {
-      std::fprintf(stderr, ", cache %zu/%zu", cache_hits, files.size());
-    }
-    std::fprintf(stderr, "\n");
   }
-  if (errors > 0) return 1;
-  if (opt.werror && warns > 0) return 1;
-  return 0;
+  if (!dufs::WriteOutput("dufs_lint", "", out)) return 2;
+  if (opt.format == "text") {
+    std::fprintf(stderr, "dufs_lint: %zu finding(s) in %zu file(s)\n",
+                 findings.size(), files.size());
+  }
+  return findings.empty() ? 0 : 1;
 }

@@ -8,10 +8,9 @@
 
 namespace dufs::lint {
 
-// Severity of a rule. `kError` findings fail the run (exit 1); `kWarn`
-// findings are reported (and land in SARIF as "warning") but only fail under
-// --werror. The tree gate runs with --werror, so the live tree is held at
-// zero unbaselined findings of either severity.
+// Severity of a rule. Findings of either severity fail the run (exit 1),
+// so the live tree is held at zero findings; the severity is reported in the
+// text, JSON and SARIF output ("warning" vs "error" in SARIF).
 enum class Severity {
   kError,
   kWarn,

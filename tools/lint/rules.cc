@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <map>
 #include <set>
 #include <utility>
@@ -419,65 +420,7 @@ const char* SeverityName(Severity s) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: declaration collection
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Historical task-discard declaration scan, kept verbatim so the
-// TaskFunctionNames() set (and with it the task-discard findings) is
-// unchanged by the cross-TU rework.
-void CollectTaskDecls(const LexedFile& lexed, FileArtifacts* a) {
-  const auto& toks = lexed.tokens;
-  std::set<std::size_t> claimed;
-
-  // Task/Future-returning function declarations:
-  //   [sim::] Task < ... > [Qualified::]Name ( params ) {;|{|const|...}
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!(IsId(toks[i], "Task") || IsId(toks[i], "Future"))) continue;
-    if (!IsPunct(toks[i + 1], "<")) continue;
-    std::size_t j = MatchAngle(toks, i + 1);
-    if (j == kNpos || j >= toks.size()) continue;
-    // Qualified declarator name.
-    std::size_t name_tok = kNpos;
-    while (j + 1 < toks.size() && toks[j].kind == TokKind::kIdentifier &&
-           !IsExprKeyword(toks[j].text)) {
-      name_tok = j;
-      if (IsPunct(toks[j + 1], "::")) {
-        j += 2;
-      } else {
-        ++j;
-        break;
-      }
-    }
-    if (name_tok == kNpos || j >= toks.size() || !IsPunct(toks[j], "(")) {
-      continue;
-    }
-    claimed.insert(name_tok);
-    a->task_decl_names.push_back(toks[name_tok].text);
-  }
-
-  // Non-Task declarations of the same shape (`Type Name(`): names seen here
-  // are ambiguous for task-discard and get dropped from the set.
-  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdentifier || IsExprKeyword(toks[i].text)) {
-      continue;
-    }
-    if (!IsPunct(toks[i + 1], "(")) continue;
-    if (claimed.count(i) > 0) continue;
-    const Token& prev = toks[i - 1];
-    const bool type_before =
-        (prev.kind == TokKind::kIdentifier && !IsExprKeyword(prev.text)) ||
-        IsPunct(prev, ">") || IsPunct(prev, ">>") || IsPunct(prev, "*") ||
-        IsPunct(prev, "&");
-    if (type_before) a->non_task_decl_names.push_back(toks[i].text);
-  }
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Pass 2: per-file rules
+// Per-file rules
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -861,22 +804,36 @@ bool IsSuppressed(const Finding& finding,
   return false;
 }
 
+// The direct task-discard set: declared Task/Future-returning somewhere and
+// never with an ordinary return type.
+std::set<std::string> DirectTaskSet(const SymbolTable& sym) {
+  const std::set<std::string>& task = sym.DirectTaskNames();
+  const std::set<std::string>& ambiguous = sym.AmbiguousNames();
+  std::set<std::string> names;
+  std::set_difference(task.begin(), task.end(), ambiguous.begin(),
+                      ambiguous.end(), std::inserter(names, names.end()));
+  return names;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Stage A: per-file analysis
 // ---------------------------------------------------------------------------
 
+namespace {
+
 FileArtifacts AnalyzeFile(std::string path, const std::string& content) {
   FileArtifacts a;
   const LexedFile lexed = Lex(std::move(path), content);
   a.path = lexed.path;
-  CollectTaskDecls(lexed, &a);
   FileLint(lexed).Run(&a.local);
   a.summary = BuildFileSummary(lexed);
   a.suppressions = lexed.suppressions;
   return a;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Stage B: whole-tree run
@@ -886,18 +843,10 @@ void Linter::AddFile(std::string path, const std::string& content) {
   files_.push_back(AnalyzeFile(std::move(path), content));
 }
 
-void Linter::AddArtifacts(FileArtifacts artifacts) {
-  files_.push_back(std::move(artifacts));
-}
-
 std::vector<std::string> Linter::TaskFunctionNames() const {
-  std::set<std::string> names;
-  for (const auto& a : files_) {
-    names.insert(a.task_decl_names.begin(), a.task_decl_names.end());
-  }
-  for (const auto& a : files_) {
-    for (const auto& n : a.non_task_decl_names) names.erase(n);
-  }
+  SymbolTable sym;
+  for (const auto& a : files_) sym.Add(&a.summary);
+  const std::set<std::string> names = DirectTaskSet(sym);
   return {names.begin(), names.end()};
 }
 
@@ -910,11 +859,9 @@ std::vector<Finding> Linter::Run() {
   SymbolTable sym;
   for (const auto& a : files_) sym.Add(&a.summary);
   const CallGraph graph(sym);
-  const auto names = TaskFunctionNames();
-  const std::set<std::string> direct_task(names.begin(), names.end());
 
   std::vector<Finding> flow;
-  RunDataflow(sym, graph, direct_task, &flow);
+  RunDataflow(sym, graph, DirectTaskSet(sym), &flow);
 
   std::map<std::string, const std::vector<Suppression>*> sups;
   for (const auto& a : files_) sups[a.path] = &a.suppressions;

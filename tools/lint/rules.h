@@ -9,11 +9,9 @@
 //
 // The analyzer is two-stage. Stage A (AnalyzeFile) is strictly per-file:
 // lexing, the local token rules, and FileSummary extraction for the
-// cross-TU passes — its output (FileArtifacts) depends only on the file's
-// own bytes, which is what makes the on-disk parse cache (cache.h) sound.
-// Stage B (Linter::Run) builds the symbol table and call graph over every
-// added file's summary and runs the interprocedural dataflow rules
-// (dataflow.h), then merges, suppression-filters, and sorts.
+// cross-TU passes. Stage B (Linter::Run) builds the symbol table and call
+// graph over every added file's summary and runs the interprocedural
+// dataflow rules (dataflow.h), then merges, suppression-filters, and sorts.
 //
 // Suppression: append `// dufs-lint: allow(<rule>[, <rule>...])` to the
 // offending line, or place it alone on the line directly above. The rule
@@ -39,29 +37,21 @@ struct FileArtifacts {
   // Kept so stage B can suppression-filter the dataflow findings it
   // attributes to this file.
   std::vector<Suppression> suppressions;
-  // Historical task-discard declaration scan (`Task<...> Name(` and the
-  // same-shape ambiguity set); drives Linter::TaskFunctionNames().
-  std::vector<std::string> task_decl_names;
-  std::vector<std::string> non_task_decl_names;
 };
 
-// Stage A: lex + local rules + summary extraction. Pure in (path, content).
-// Paths should be repo-relative ("src/zk/server.cc") so path-scoped rules
-// (sim-time-source's rng exemption, header rules) work.
-FileArtifacts AnalyzeFile(std::string path, const std::string& content);
-
-// Whole-tree linter: add every file (parsed fresh or from the cache), then
-// Run() applies the per-file results plus the interprocedural rules and
-// returns suppression-filtered findings sorted by (file, line, rule).
+// Whole-tree linter: add every file, then Run() applies the per-file
+// results plus the interprocedural rules and returns suppression-filtered
+// findings sorted by (file, line, rule).
 class Linter {
  public:
+  // Runs stage A on one file. Paths should be repo-relative
+  // ("src/zk/server.cc") so path-scoped rules (sim-time-source's rng
+  // exemption, header rules) work.
   void AddFile(std::string path, const std::string& content);
-  void AddArtifacts(FileArtifacts artifacts);
   std::vector<Finding> Run();
 
-  // Names the declaration scan decided are Task/Future-returning functions
-  // (minus names that also appear with non-coroutine-looking declarations).
-  // Exposed for tests.
+  // The symbol table's direct Task/Future-returning names minus its
+  // ambiguous ones: the set task-discard flags. Exposed for tests.
   std::vector<std::string> TaskFunctionNames() const;
 
  private:

@@ -648,8 +648,8 @@ class Extractor {
 
   // --- file-level sets ----------------------------------------------------
 
-  // Loose scan matching the historical task-discard ambiguity pass: every
-  // `Type Name(` whose name token was not claimed as a Task declaration.
+  // Loose scan for the task-discard ambiguity set: every `Type Name(` whose
+  // name token was not claimed as a Task declaration.
   void CollectNonTaskDecls(FileSummary* out) {
     for (std::size_t i = 1; i + 1 < toks_.size(); ++i) {
       if (toks_[i].kind != TokKind::kIdentifier ||

@@ -9,10 +9,9 @@
 // declaration sets (entities of unordered type, non-Task function names).
 //
 // The summary is deliberately token-derived and heuristic — no headers are
-// expanded, no templates instantiated — but it is self-contained per file,
-// which is what makes the on-disk parse cache (cache.h) sound: a file's
-// summary depends only on its own bytes; every cross-file judgement happens
-// later, in SymbolTable/CallGraph/dataflow over the collected summaries.
+// expanded, no templates instantiated — and self-contained per file: every
+// cross-file judgement happens later, in SymbolTable/CallGraph/dataflow over
+// the collected summaries.
 #pragma once
 
 #include <cstddef>

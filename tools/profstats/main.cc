@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/write_output.h"
 #include "profstats.h"
 
 namespace {
@@ -46,21 +47,6 @@ bool LoadProfile(const std::string& path, dufs::profstats::Profile* out) {
     std::fprintf(stderr, "profstats: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }
-  return true;
-}
-
-bool WriteOutput(const std::string& path, const std::string& content) {
-  if (path.empty()) {
-    std::fwrite(content.data(), 1, content.size(), stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "profstats: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
   return true;
 }
 
@@ -128,16 +114,15 @@ int main(int argc, char** argv) {
     if (diff_mode) {
       dufs::profstats::DiffResult d;
       dufs::profstats::Diff(old_a, new_a, &d);
-      return WriteOutput(out_path, dufs::profstats::DiffToText(d, top_k))
-                 ? 0
-                 : 2;
+      const std::string report = dufs::profstats::DiffToText(d, top_k);
+      return dufs::WriteOutput("profstats", out_path, report) ? 0 : 2;
     }
     dufs::profstats::CompareResult result;
     dufs::profstats::CompareProfiles(old_a, new_a, opts, &result);
     const std::string report =
         json_out ? dufs::profstats::CompareToJson(result, opts)
                  : dufs::profstats::CompareToText(result, opts);
-    if (!WriteOutput(out_path, report)) return 2;
+    if (!dufs::WriteOutput("profstats", out_path, report)) return 2;
     AppendStepSummary(
         dufs::profstats::CompareToMarkdown(result, opts, top_k));
     return result.ok ? 0 : 1;
@@ -150,5 +135,5 @@ int main(int argc, char** argv) {
   dufs::profstats::AggregateProfile(p, &a);
   const std::string report = json_out ? dufs::profstats::ReportJson(a, top_k)
                                       : dufs::profstats::ReportText(a, top_k);
-  return WriteOutput(out_path, report) ? 0 : 2;
+  return dufs::WriteOutput("profstats", out_path, report) ? 0 : 2;
 }

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "analyze.h"
+#include "common/write_output.h"
 #include "json.h"
 
 namespace {
@@ -60,21 +61,6 @@ bool LoadJson(const std::string& path, dufs::tracestats::JsonValue* out) {
     std::fprintf(stderr, "tracestats: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }
-  return true;
-}
-
-bool WriteOutput(const std::string& path, const std::string& content) {
-  if (path.empty()) {
-    std::fwrite(content.data(), 1, content.size(), stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "tracestats: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
   return true;
 }
 
@@ -157,7 +143,7 @@ int main(int argc, char** argv) {
     const std::string report =
         json_out ? dufs::tracestats::CompareToJson(result, tolerance)
                  : dufs::tracestats::CompareToText(result, tolerance);
-    if (!WriteOutput(out_path, report)) return 2;
+    if (!dufs::WriteOutput("tracestats", out_path, report)) return 2;
     AppendStepSummary(dufs::tracestats::CompareToMarkdown(result, tolerance));
     return result.ok ? 0 : 1;
   }
@@ -174,7 +160,7 @@ int main(int argc, char** argv) {
     const std::string report =
         json_out ? dufs::tracestats::ExplainToJson(result)
                  : dufs::tracestats::ExplainToText(result);
-    if (!WriteOutput(out_path, report)) return 2;
+    if (!dufs::WriteOutput("tracestats", out_path, report)) return 2;
     if (!expect.empty()) {
       const std::size_t colon = expect.find(':');
       if (colon == std::string::npos) {
@@ -220,7 +206,7 @@ int main(int argc, char** argv) {
   const std::string report = json_out
                                  ? dufs::tracestats::ResultToJson(result)
                                  : dufs::tracestats::ResultToText(result);
-  if (!WriteOutput(out_path, report)) return 2;
+  if (!dufs::WriteOutput("tracestats", out_path, report)) return 2;
   if (check && !result.check_ok) {
     std::fprintf(stderr, "tracestats: --check failed (%zu classes out of "
                          "tolerance)\n",
