@@ -4,6 +4,11 @@
 // encoded size feeds the NIC bandwidth model, and decode errors surface as
 // Status rather than UB. Encoding: fixed-width little-endian integers,
 // varint-prefixed strings/blobs.
+//
+// Encoders size their buffer once: message types that know their encoded
+// size (`EncodedSize()`, built from the helpers below) pass it to the
+// constructor, and every other writer starts at kDefaultCapacity, which
+// holds the typical small RPC frame without a reallocation.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +21,24 @@
 
 namespace dufs::wire {
 
+// Encoded size of `v` as a WriteVarint.
+constexpr std::size_t VarintSize(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+// Encoded size of a WriteString/WriteBytes of `len` bytes.
+constexpr std::size_t BlobSize(std::size_t len) {
+  return VarintSize(len) + len;
+}
+
 class BufferWriter {
  public:
+  static constexpr std::size_t kDefaultCapacity = 128;
+
+  BufferWriter() : BufferWriter(kDefaultCapacity) {}
+  explicit BufferWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void WriteU8(std::uint8_t v) { buf_.push_back(v); }
   void WriteU16(std::uint16_t v) { AppendLE(v); }
   void WriteU32(std::uint32_t v) { AppendLE(v); }
@@ -38,9 +59,11 @@ class BufferWriter {
  private:
   template <typename T>
   void AppendLE(T v) {
+    std::uint8_t bytes[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
   }
 
   std::vector<std::uint8_t> buf_;

@@ -11,39 +11,31 @@ namespace dufs::zk {
 namespace {
 
 // Server-side resolution walk (DESIGN.md §13). Walks `components` from the
-// root child-by-child. On success `chain` holds every component's znode; on
-// kNotFound it holds exactly the leading components that do exist; on
-// kNotADirectory the offending *interior* non-directory node is the last
-// chain entry and later components were never examined. A nonzero dir_tag
-// requires every interior component's data to begin with that byte — the FS
-// layer's kind tag — so the walk enforces the POSIX rule without the
-// coordination service knowing the record schema.
-struct ResolveOutcome {
-  StatusCode code = StatusCode::kOk;
-  std::vector<const DataTree::Znode*> chain;
-};
-
-ResolveOutcome ResolveChain(const DataTree& tree,
-                            const std::vector<std::string_view>& components,
-                            std::uint8_t dir_tag) {
-  ResolveOutcome out;
-  out.chain.reserve(components.size());
+// root child-by-child into `chain`. On success `chain` holds every
+// component's znode; on kNotFound it holds exactly the leading components
+// that do exist; on kNotADirectory the offending *interior* non-directory
+// node is the last chain entry and later components were never examined. A
+// nonzero dir_tag requires every interior component's data to begin with
+// that byte — the FS layer's kind tag — so the walk enforces the POSIX rule
+// without the coordination service knowing the record schema.
+StatusCode ResolveChain(const DataTree& tree,
+                        const std::vector<std::string_view>& components,
+                        std::uint8_t dir_tag,
+                        std::vector<const DataTree::Znode*>& chain) {
+  chain.clear();
+  chain.reserve(components.size());
   const DataTree::Znode* cur = &tree.root();
   for (std::size_t i = 0; i < components.size(); ++i) {
     auto it = cur->children.find(components[i]);
-    if (it == cur->children.end()) {
-      out.code = StatusCode::kNotFound;
-      return out;
-    }
+    if (it == cur->children.end()) return StatusCode::kNotFound;
     cur = it->second.get();
-    out.chain.push_back(cur);
+    chain.push_back(cur);
     if (i + 1 < components.size() && dir_tag != 0 &&
         (cur->data.empty() || cur->data[0] != dir_tag)) {
-      out.code = StatusCode::kNotADirectory;
-      return out;
+      return StatusCode::kNotADirectory;
     }
   }
-  return out;
+  return StatusCode::kOk;
 }
 
 // Copies the first `count` chain nodes into res.prefix and stamps
@@ -66,10 +58,22 @@ void FillResolved(const std::vector<const DataTree::Znode*>& chain,
 
 // Shared failure-path shaping for compound ops: a partial resolution ships
 // the whole existing prefix back so the client can seed positives for it.
-void FillPartial(const ResolveOutcome& r, OpResult& res) {
-  res.code = r.code;
-  FillResolved(r.chain, r.chain.size(),
-               static_cast<std::uint32_t>(r.chain.size()), res);
+void FillPartial(StatusCode code,
+                 const std::vector<const DataTree::Znode*>& chain,
+                 OpResult& res) {
+  res.code = code;
+  FillResolved(chain, chain.size(), static_cast<std::uint32_t>(chain.size()),
+               res);
+}
+
+// The znode a compound write mutates under: the walk's last interior node,
+// or the root for a top-level name. The walk ran over this Database's own
+// (mutable) tree, hence the const_cast.
+DataTree::Znode& ParentOf(DataTree& tree,
+                          const std::vector<const DataTree::Znode*>& chain,
+                          std::size_t n_components) {
+  return const_cast<DataTree::Znode&>(
+      n_components == 1 ? tree.root() : *chain[n_components - 2]);
 }
 
 }  // namespace
@@ -112,23 +116,25 @@ OpResult Database::Read(const Op& op) const {
     case OpType::kSync:
       return res;  // ordering is handled by the server pipeline
     case OpType::kResolvePath: {
-      if (auto st = ValidatePath(op.path); !st.ok()) {
+      std::vector<std::string_view> components;
+      if (auto st = SplitValidPath(op.path, components); !st.ok()) {
         res.code = st.code();
         return res;
       }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code != StatusCode::kOk) {
-        FillPartial(r, res);
+      std::vector<const DataTree::Znode*> chain;
+      const StatusCode walk =
+          ResolveChain(*tree_, components, op.dir_tag, chain);
+      if (walk != StatusCode::kOk) {
+        FillPartial(walk, chain, res);
         return res;
       }
       // Terminal stat/data ride the ordinary fields; prefix excludes it.
-      FillResolved(r.chain,
+      FillResolved(chain,
                    components.empty() ? 0 : components.size() - 1,
                    static_cast<std::uint32_t>(components.size()), res);
       if (!components.empty()) {
-        res.stat = r.chain.back()->stat;
-        res.data = r.chain.back()->data;
+        res.stat = chain.back()->stat;
+        res.data = chain.back()->data;
       } else {
         res.stat = tree_->root().stat;
         res.data = tree_->root().data;
@@ -136,19 +142,21 @@ OpResult Database::Read(const Op& op) const {
       return res;
     }
     case OpType::kReadDirPlus: {
-      if (auto st = ValidatePath(op.path); !st.ok()) {
+      std::vector<std::string_view> components;
+      if (auto st = SplitValidPath(op.path, components); !st.ok()) {
         res.code = st.code();
         return res;
       }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code != StatusCode::kOk) {
-        FillPartial(r, res);
+      std::vector<const DataTree::Znode*> chain;
+      const StatusCode walk =
+          ResolveChain(*tree_, components, op.dir_tag, chain);
+      if (walk != StatusCode::kOk) {
+        FillPartial(walk, chain, res);
         return res;
       }
       const DataTree::Znode* dir =
-          components.empty() ? &tree_->root() : r.chain.back();
-      FillResolved(r.chain,
+          components.empty() ? &tree_->root() : chain.back();
+      FillResolved(chain,
                    components.empty() ? 0 : components.size() - 1,
                    static_cast<std::uint32_t>(components.size()), res);
       res.stat = dir->stat;
@@ -178,7 +186,7 @@ OpResult Database::Read(const Op& op) const {
 }
 
 OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
-                            std::int64_t now_ns,
+                            std::int64_t now_ns, Reply reply,
                             std::vector<AppliedTxn::Trigger>& out) {
   OpResult res;
   switch (op.type) {
@@ -190,13 +198,10 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
         res.code = created.code();
         return res;
       }
-      res.created_path = std::move(*created);
-      out.push_back({WatchEventType::kNodeCreated, res.created_path});
-      if (res.created_path != "/") {
-        out.push_back(
-            {WatchEventType::kNodeChildrenChanged,
-             ParentPath(res.created_path)});
-      }
+      std::string parent = ParentPath(*created);
+      if (reply == Reply::kBuild) res.created_path = *created;
+      out.push_back({WatchEventType::kNodeCreated, std::move(*created)});
+      out.push_back({WatchEventType::kNodeChildrenChanged, std::move(parent)});
       return res;
     }
     case OpType::kDelete: {
@@ -231,96 +236,118 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
       }
       return res;
     }
-    case OpType::kResolveCreate: {
-      if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
-        res.code = st.ok() ? StatusCode::kAlreadyExists : st.code();
-        return res;
-      }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code == StatusCode::kNotADirectory ||
-          (r.code == StatusCode::kNotFound &&
-           r.chain.size() < components.size() - 1)) {
-        FillPartial(r, res);  // broken ancestor chain — nothing to create
-        return res;
-      }
-      if (r.code == StatusCode::kOk && !IsSequential(op.mode)) {
-        FillPartial(r, res);
-        res.code = StatusCode::kAlreadyExists;
-        // The existing terminal is the client's freshest view of the node
-        // it raced against: surface it via stat/data, not the prefix.
-        res.prefix.pop_back();
-        res.stat = r.chain.back()->stat;
-        res.data = r.chain.back()->data;
-        return res;
-      }
-      auto created = tree_->Create(op.path, op.data, op.mode,
-                                   IsEphemeral(op.mode) ? session : 0, zxid,
-                                   now_ns);
-      if (!created.ok()) {
-        FillPartial(r, res);
-        res.code = created.code();
-        return res;
-      }
-      res.created_path = std::move(*created);
-      // Chain pointers stay live across the mutation, and the parent's stat
-      // was updated in place — the prefix the client seeds is post-create.
-      FillResolved(r.chain, components.size() - 1,
-                   static_cast<std::uint32_t>(components.size()), res);
-      if (auto stat = tree_->Stat(res.created_path); stat.ok()) {
-        res.stat = *stat;
-      }
-      out.push_back({WatchEventType::kNodeCreated, res.created_path});
-      out.push_back({WatchEventType::kNodeChildrenChanged,
-                     ParentPath(res.created_path)});
-      return res;
-    }
-    case OpType::kResolveDelete: {
-      if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
-        res.code = st.ok() ? StatusCode::kInvalidArgument : st.code();
-        return res;
-      }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code != StatusCode::kOk) {
-        FillPartial(r, res);
-        return res;
-      }
-      // Pre-delete snapshot: the client needs the victim's record (its fid)
-      // to finish the physical unlink, and its stat for version accounting.
-      res.stat = r.chain.back()->stat;
-      res.data = r.chain.back()->data;
-      if (op.dir_tag != 0 && !r.chain.back()->data.empty() &&
-          r.chain.back()->data[0] == op.dir_tag) {
-        FillResolved(r.chain, components.size() - 1,
-                     static_cast<std::uint32_t>(components.size()), res);
-        res.code = StatusCode::kIsADirectory;
-        return res;
-      }
-      auto st = tree_->Delete(op.path, op.version, zxid);
-      if (!st.ok()) {
-        FillResolved(r.chain, components.size() - 1,
-                     static_cast<std::uint32_t>(components.size()), res);
-        res.code = st.code();
-        return res;
-      }
-      // Depth excludes the deleted terminal; the parent's in-place stat
-      // update (cversion/num_children) is visible through the prefix.
-      FillResolved(r.chain, components.size() - 1,
-                   static_cast<std::uint32_t>(components.size() - 1), res);
-      out.push_back({WatchEventType::kNodeDeleted, op.path});
-      out.push_back(
-          {WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
-      return res;
-    }
+    case OpType::kResolveCreate:
+      return ResolveCreate(op, session, zxid, now_ns, reply, out);
+    case OpType::kResolveDelete:
+      return ResolveDelete(op, zxid, reply, out);
     default:
       res.code = StatusCode::kInvalidArgument;
       return res;
   }
 }
 
+// One walk: the chain ResolveChain builds ends at the parent, and the child
+// is created right there.
+OpResult Database::ResolveCreate(const Op& op, SessionId session, Zxid zxid,
+                                 std::int64_t now_ns, Reply reply,
+                                 std::vector<AppliedTxn::Trigger>& out) {
+  OpResult res;
+  const bool build = reply == Reply::kBuild;
+  if (auto st = SplitValidPath(op.path, components_);
+      !st.ok() || components_.empty()) {
+    res.code = st.ok() ? StatusCode::kAlreadyExists : st.code();
+    return res;
+  }
+  const std::size_t n = components_.size();
+  const auto depth = static_cast<std::uint32_t>(n);
+  const StatusCode walk = ResolveChain(*tree_, components_, op.dir_tag, chain_);
+  if (walk == StatusCode::kNotADirectory ||
+      (walk == StatusCode::kNotFound && chain_.size() < n - 1)) {
+    res.code = walk;  // broken ancestor chain — nothing to create
+    if (build) FillPartial(walk, chain_, res);
+    return res;
+  }
+  if (walk == StatusCode::kOk && !IsSequential(op.mode)) {
+    res.code = StatusCode::kAlreadyExists;
+    if (build) {
+      // The existing terminal is the client's freshest view of the node it
+      // raced against: surface it via stat/data, not the prefix.
+      FillResolved(chain_, n - 1, depth, res);
+      res.stat = chain_.back()->stat;
+      res.data = chain_.back()->data;
+    }
+    return res;
+  }
+  auto created = tree_->CreateChild(
+      ParentOf(*tree_, chain_, n), components_.back(), op.data, op.mode,
+      IsEphemeral(op.mode) ? session : 0, zxid, now_ns);
+  if (!created.ok()) {
+    res.code = created.code();
+    if (build) FillPartial(created.code(), chain_, res);
+    return res;
+  }
+  // A sequential create appended a suffix to the requested name.
+  std::string created_path = op.path;
+  created_path.append((*created)->name, components_.back().size());
+  if (build) {
+    // Chain pointers stay live across the mutation, and the parent's stat
+    // was updated in place — the prefix the client seeds is post-create.
+    FillResolved(chain_, n - 1, depth, res);
+    res.stat = (*created)->stat;
+    res.created_path = created_path;
+  }
+  out.push_back({WatchEventType::kNodeCreated, std::move(created_path)});
+  out.push_back({WatchEventType::kNodeChildrenChanged,
+                 std::string(ParentView(op.path))});
+  return res;
+}
+
+OpResult Database::ResolveDelete(const Op& op, Zxid zxid, Reply reply,
+                                 std::vector<AppliedTxn::Trigger>& out) {
+  OpResult res;
+  const bool build = reply == Reply::kBuild;
+  if (auto st = SplitValidPath(op.path, components_);
+      !st.ok() || components_.empty()) {
+    res.code = st.ok() ? StatusCode::kInvalidArgument : st.code();
+    return res;
+  }
+  const std::size_t n = components_.size();
+  const StatusCode walk = ResolveChain(*tree_, components_, op.dir_tag, chain_);
+  if (walk != StatusCode::kOk) {
+    res.code = walk;
+    if (build) FillPartial(walk, chain_, res);
+    return res;
+  }
+  const DataTree::Znode& victim = *chain_.back();
+  if (build) {
+    // Pre-delete snapshot: the client needs the victim's record (its fid)
+    // to finish the physical unlink, and its stat for version accounting.
+    res.stat = victim.stat;
+    res.data = victim.data;
+  }
+  auto depth = static_cast<std::uint32_t>(n);
+  if (op.dir_tag != 0 && !victim.data.empty() &&
+      victim.data[0] == op.dir_tag) {
+    res.code = StatusCode::kIsADirectory;
+  } else {
+    const Status st = tree_->DeleteChild(ParentOf(*tree_, chain_, n),
+                                         components_.back(), op.version, zxid);
+    res.code = st.code();
+    if (st.ok()) {
+      // Depth excludes the deleted terminal; the parent's in-place stat
+      // update (cversion/num_children) is visible through the prefix.
+      depth = static_cast<std::uint32_t>(n - 1);
+      out.push_back({WatchEventType::kNodeDeleted, op.path});
+      out.push_back({WatchEventType::kNodeChildrenChanged,
+                     std::string(ParentView(op.path))});
+    }
+  }
+  if (build) FillResolved(chain_, n - 1, depth, res);
+  return res;
+}
+
 AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
-                                std::int64_t now_ns) {
+                                std::int64_t now_ns, Reply reply) {
   AppliedTxn applied;
 
   // Phase 1 — validate against the tree plus an overlay of the multi's own
@@ -439,14 +466,16 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
   // Phase 2 — apply for real; validation guarantees success.
   applied.multi_results.clear();
   for (const auto& op : txn.multi_ops) {
-    OpResult r = ApplyOne(op, txn.session, zxid, now_ns, applied.triggers);
+    OpResult r =
+        ApplyOne(op, txn.session, zxid, now_ns, reply, applied.triggers);
     DUFS_CHECK(r.ok());
     applied.multi_results.push_back(std::move(r));
   }
   return applied;
 }
 
-AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns) {
+AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
+                           Reply reply) {
   // Replicas must stamp identical times: prefer the leader-assigned stamp.
   if (txn.time != 0) now_ns = txn.time;
   DUFS_CHECK(zxid > last_applied_);
@@ -455,7 +484,7 @@ AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns) {
   AppliedTxn applied;
   switch (txn.op.type) {
     case OpType::kMulti:
-      applied = ApplyMulti(txn, zxid, now_ns);
+      applied = ApplyMulti(txn, zxid, now_ns, reply);
       break;
     case OpType::kSync:
       break;  // ordering no-op: forces the session server to catch up
@@ -483,8 +512,9 @@ AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns) {
       break;
     }
     default:
-      applied.result =
-          ApplyOne(txn.op, txn.session, zxid, now_ns, applied.triggers);
+      applied.triggers.reserve(2);  // a successful create/delete fires two
+      applied.result = ApplyOne(txn.op, txn.session, zxid, now_ns, reply,
+                                applied.triggers);
   }
   return applied;
 }

@@ -1,6 +1,48 @@
 #include "zk/proto.h"
 
+#include <algorithm>
+
 namespace dufs::zk {
+namespace {
+
+// Reserves room for `n` decoded elements. Each takes at least one encoded
+// byte, so a corrupt count can not reserve more than the bytes left.
+template <typename T>
+void ReserveFor(std::vector<T>& v, std::uint64_t n,
+                const wire::BufferReader& r) {
+  v.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, r.remaining())));
+}
+
+// An encoded OpResult's fields up to and including resolved_depth.
+Status DecodeResultHead(wire::BufferReader& r, OpResult& res) {
+  auto code = r.ReadU8();
+  DUFS_RETURN_IF_ERROR(code);
+  res.code = static_cast<StatusCode>(*code);
+  auto created = r.ReadString();
+  DUFS_RETURN_IF_ERROR(created);
+  res.created_path = std::move(*created);
+  auto stat = ZnodeStat::Decode(r);
+  DUFS_RETURN_IF_ERROR(stat);
+  res.stat = *stat;
+  auto data = r.ReadBytes();
+  DUFS_RETURN_IF_ERROR(data);
+  res.data = std::move(*data);
+  auto n = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(n);
+  ReserveFor(res.children, *n, r);
+  for (std::uint64_t i = 0; i < *n; ++i) {
+    auto child = r.ReadString();
+    DUFS_RETURN_IF_ERROR(child);
+    res.children.push_back(std::move(*child));
+  }
+  auto depth = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(depth);
+  res.resolved_depth = static_cast<std::uint32_t>(*depth);
+  return Status::Ok();
+}
+
+}  // namespace
 
 const char* OpTypeName(OpType t) {
   switch (t) {
@@ -31,6 +73,11 @@ void Op::Encode(wire::BufferWriter& w) const {
   w.WriteU32(static_cast<std::uint32_t>(version));
   w.WriteBool(watch);
   w.WriteU8(dir_tag);
+}
+
+std::size_t Op::EncodedSize() const {
+  return 1 + wire::BlobSize(path.size()) + wire::BlobSize(data.size()) + 1 +
+         4 + 1 + 1;
 }
 
 Result<Op> Op::Decode(wire::BufferReader& r) {
@@ -170,15 +217,21 @@ Result<Txn> Txn::Decode(wire::BufferReader& r) {
 }
 
 std::size_t Txn::EncodedSize() const {
-  wire::BufferWriter w;
-  Encode(w);
-  return w.size();
+  std::size_t n = 8 + 8 + wire::VarintSize(trace) + op.EncodedSize() +
+                  wire::VarintSize(multi_ops.size());
+  for (const auto& o : multi_ops) n += o.EncodedSize();
+  return n;
 }
 
 void ResolvedNode::Encode(wire::BufferWriter& w) const {
   w.WriteString(name);
   stat.Encode(w);
   w.WriteBytes(data);
+}
+
+std::size_t ResolvedNode::EncodedSize() const {
+  return wire::BlobSize(name.size()) + ZnodeStat::kEncodedSize +
+         wire::BlobSize(data.size());
 }
 
 Result<ResolvedNode> ResolvedNode::Decode(wire::BufferReader& r) {
@@ -209,32 +262,24 @@ void OpResult::Encode(wire::BufferWriter& w) const {
   for (const auto& n : entries) n.Encode(w);
 }
 
+std::size_t OpResult::EncodedSize() const {
+  std::size_t n = 1 + wire::BlobSize(created_path.size()) +
+                  ZnodeStat::kEncodedSize + wire::BlobSize(data.size()) +
+                  wire::VarintSize(children.size());
+  for (const auto& c : children) n += wire::BlobSize(c.size());
+  n += wire::VarintSize(resolved_depth) + wire::VarintSize(prefix.size());
+  for (const auto& p : prefix) n += p.EncodedSize();
+  n += wire::VarintSize(entries.size());
+  for (const auto& e : entries) n += e.EncodedSize();
+  return n;
+}
+
 Result<OpResult> OpResult::Decode(wire::BufferReader& r) {
   OpResult res;
-  auto code = r.ReadU8();
-  DUFS_RETURN_IF_ERROR(code);
-  res.code = static_cast<StatusCode>(*code);
-  auto created = r.ReadString();
-  DUFS_RETURN_IF_ERROR(created);
-  res.created_path = std::move(*created);
-  auto stat = ZnodeStat::Decode(r);
-  DUFS_RETURN_IF_ERROR(stat);
-  res.stat = *stat;
-  auto data = r.ReadBytes();
-  DUFS_RETURN_IF_ERROR(data);
-  res.data = std::move(*data);
-  auto n = r.ReadVarint();
-  DUFS_RETURN_IF_ERROR(n);
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto child = r.ReadString();
-    DUFS_RETURN_IF_ERROR(child);
-    res.children.push_back(std::move(*child));
-  }
-  auto depth = r.ReadVarint();
-  DUFS_RETURN_IF_ERROR(depth);
-  res.resolved_depth = static_cast<std::uint32_t>(*depth);
+  DUFS_RETURN_IF_ERROR(DecodeResultHead(r, res));
   auto n_prefix = r.ReadVarint();
   DUFS_RETURN_IF_ERROR(n_prefix);
+  ReserveFor(res.prefix, *n_prefix, r);
   for (std::uint64_t i = 0; i < *n_prefix; ++i) {
     auto node = ResolvedNode::Decode(r);
     DUFS_RETURN_IF_ERROR(node);
@@ -242,6 +287,7 @@ Result<OpResult> OpResult::Decode(wire::BufferReader& r) {
   }
   auto n_entries = r.ReadVarint();
   DUFS_RETURN_IF_ERROR(n_entries);
+  ReserveFor(res.entries, *n_entries, r);
   for (std::uint64_t i = 0; i < *n_entries; ++i) {
     auto node = ResolvedNode::Decode(r);
     DUFS_RETURN_IF_ERROR(node);
@@ -251,7 +297,10 @@ Result<OpResult> OpResult::Decode(wire::BufferReader& r) {
 }
 
 std::vector<std::uint8_t> ClientRequest::Encode() const {
-  wire::BufferWriter w;
+  std::size_t size = 8 + wire::VarintSize(trace) + op.EncodedSize() +
+                     wire::VarintSize(multi_ops.size());
+  for (const auto& o : multi_ops) size += o.EncodedSize();
+  wire::BufferWriter w(size);
   w.WriteU64(session);
   w.WriteVarint(trace);
   op.Encode(w);
@@ -284,7 +333,10 @@ Result<ClientRequest> ClientRequest::Decode(
 }
 
 std::vector<std::uint8_t> ClientResponse::Encode() const {
-  wire::BufferWriter w;
+  std::size_t size =
+      result.EncodedSize() + wire::VarintSize(multi_results.size());
+  for (const auto& r : multi_results) size += r.EncodedSize();
+  wire::BufferWriter w(size);
   result.Encode(w);
   w.WriteVarint(multi_results.size());
   for (const auto& r : multi_results) r.Encode(w);
@@ -309,11 +361,19 @@ Result<ClientResponse> ClientResponse::Decode(
 }
 
 std::vector<std::uint8_t> WatchEvent::Encode() const {
-  wire::BufferWriter w;
+  wire::BufferWriter w(1 + wire::BlobSize(path.size()) + 8);
   w.WriteU8(static_cast<std::uint8_t>(type));
   w.WriteString(path);
   w.WriteU64(session);
   return w.Take();
+}
+
+Result<OpResult> ClientResponse::DecodeHead(
+    const std::vector<std::uint8_t>& bytes) {
+  wire::BufferReader r(bytes);
+  OpResult res;
+  DUFS_RETURN_IF_ERROR(DecodeResultHead(r, res));
+  return res;
 }
 
 Result<WatchEvent> WatchEvent::Decode(const std::vector<std::uint8_t>& bytes) {

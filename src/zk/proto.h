@@ -93,6 +93,7 @@ struct Op {
 
   void Encode(wire::BufferWriter& w) const;
   static Result<Op> Decode(wire::BufferReader& r);
+  std::size_t EncodedSize() const;
 
   // Convenience constructors.
   static Op Create(std::string path, std::vector<std::uint8_t> data,
@@ -134,6 +135,7 @@ struct ResolvedNode {
 
   void Encode(wire::BufferWriter& w) const;
   static Result<ResolvedNode> Decode(wire::BufferReader& r);
+  std::size_t EncodedSize() const;
 };
 
 // Result of applying one Op.
@@ -168,6 +170,7 @@ struct OpResult {
 
   void Encode(wire::BufferWriter& w) const;
   static Result<OpResult> Decode(wire::BufferReader& r);
+  std::size_t EncodedSize() const;
 };
 
 // Client-facing request/response frames (method::kRequest).
@@ -187,6 +190,10 @@ struct ClientResponse {
 
   std::vector<std::uint8_t> Encode() const;
   static Result<ClientResponse> Decode(const std::vector<std::uint8_t>& bytes);
+  // Decodes `result` only up to resolved_depth (prefix, entries and
+  // multi_results stay empty): what a server relaying an encoded reply
+  // needs for its watches and resolve-depth histogram.
+  static Result<OpResult> DecodeHead(const std::vector<std::uint8_t>& bytes);
 };
 
 // Watch event pushed to clients (method::kWatchEvent).

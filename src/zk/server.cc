@@ -1,6 +1,7 @@
 #include "zk/server.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace dufs::zk {
@@ -8,12 +9,15 @@ namespace {
 
 // Internal peer-message codecs.
 struct ProposeMsg {
+  static constexpr std::size_t kHeaderBytes = 8 + 8;  // zxid, epoch
+
   Zxid zxid;
   std::int64_t epoch;
   Txn txn;
 
-  net::Payload Encode() const {
-    wire::BufferWriter w;
+  // Encodes straight from the caller's txn (no copy into a message).
+  static net::Payload Encode(Zxid zxid, std::int64_t epoch, const Txn& txn) {
+    wire::BufferWriter w(kHeaderBytes + txn.EncodedSize());
     w.WriteI64(zxid);
     w.WriteI64(epoch);
     txn.Encode(w);
@@ -42,13 +46,22 @@ struct BatchProposeMsg {
   std::int64_t epoch;
   std::vector<std::pair<Zxid, Txn>> entries;
 
-  net::Payload Encode() const {
-    wire::BufferWriter w;
+  // Encodes straight from the caller's run; `txn_bytes` gets the summed
+  // encoded size of its txns (the journal write each replica models).
+  static net::Payload Encode(std::int64_t epoch,
+                             const std::vector<std::pair<Zxid, Txn>>& entries,
+                             std::size_t& txn_bytes) {
+    std::size_t size = 8 + wire::VarintSize(entries.size());
+    for (const auto& entry : entries) size += 8 + entry.second.EncodedSize();
+    wire::BufferWriter w(size);
     w.WriteI64(epoch);
     w.WriteVarint(entries.size());
+    txn_bytes = 0;
     for (const auto& [zxid, txn] : entries) {
       w.WriteI64(zxid);
+      const std::size_t start = w.size();
       txn.Encode(w);
+      txn_bytes += w.size() - start;
     }
     return w.Take();
   }
@@ -90,14 +103,16 @@ Result<Zxid> DecodeZxid(const net::Payload& bytes) {
   return r.ReadI64();
 }
 
+// The leader's reply to a forwarded write. The encoded ClientResponse is
+// relayed to the client as is, so the forwarding server never decodes it.
 struct ForwardResponse {
   Zxid zxid = 0;
-  ClientResponse response;
+  net::Payload response;  // encoded ClientResponse
 
   net::Payload Encode() const {
-    wire::BufferWriter w;
+    wire::BufferWriter w(8 + wire::BlobSize(response.size()));
     w.WriteI64(zxid);
-    w.WriteBytes(response.Encode());
+    w.WriteBytes(response);
     return w.Take();
   }
   static Result<ForwardResponse> Decode(const net::Payload& bytes) {
@@ -108,9 +123,7 @@ struct ForwardResponse {
     f.zxid = *zxid;
     auto blob = r.ReadBytes();
     DUFS_RETURN_IF_ERROR(blob);
-    auto resp = ClientResponse::Decode(*blob);
-    DUFS_RETURN_IF_ERROR(resp);
-    f.response = std::move(*resp);
+    f.response = std::move(*blob);
     return f;
   }
 };
@@ -168,6 +181,7 @@ ZkServer::ZkServer(net::RpcEndpoint& endpoint, ZkEnsembleConfig config,
       my_index_(my_index),
       db_(std::make_unique<Database>()) {
   DUFS_CHECK(my_index_ < config_.servers.size());
+  DUFS_CHECK(config_.servers.size() <= 64);  // Proposal::acks is a bitmask
   DUFS_CHECK(config_.servers[my_index_] == endpoint_.self());
 }
 
@@ -324,14 +338,14 @@ sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
     if (!resp.ok()) co_return UnavailableResponse().Encode();
     if (IsCompound(op_type)) {
       c_compound_.Inc();
-      h_resolve_depth_.Record(
-          static_cast<std::int64_t>(resp->result.resolved_depth));
+      auto head = ClientResponse::DecodeHead(*resp);
+      if (!head.ok()) co_return head.status();
+      h_resolve_depth_.Record(static_cast<std::int64_t>(head->resolved_depth));
       if (op_watch) {
-        RegisterCompoundWatches(op_type, op_path, resp->result, req->session,
-                                from);
+        RegisterCompoundWatches(op_type, op_path, *head, req->session, from);
       }
     }
-    co_return resp->Encode();
+    co_return std::move(*resp);
   }
 
   // Local read through the serialized read pipeline.
@@ -365,88 +379,138 @@ sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
   co_return resp.Encode();
 }
 
+std::size_t WatchTable::FilterBit(std::size_t hash) const {
+  // Fibonacci hashing: the top bits of the product mix every hash bit.
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(hash) * 0x9e3779b97f4a7c15ull) >>
+      filter_shift_);
+}
+
+void WatchTable::RebuildFilter() {
+  adds_until_rebuild_ = std::max(paths_.size(), kMinRebuildAdds);
+  const std::size_t want = kBitsPerPath * (paths_.size() + adds_until_rebuild_);
+  std::size_t bits = 64;
+  filter_shift_ = 58;
+  while (bits < want) {
+    bits *= 2;
+    --filter_shift_;
+  }
+  filter_.assign(bits / 64, 0);
+  // Setting bits is order-independent, so the hash order is not observable.
+  // dufs-lint: allow(det-export-order)
+  for (const auto& [path, watchers] : paths_) {
+    const std::size_t bit = FilterBit(Hash{}(path));
+    filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+}
+
+void WatchTable::Add(std::string_view path, Watcher watcher) {
+  auto it = paths_.find(path);
+  if (it == paths_.end()) {
+    if (adds_until_rebuild_ == 0) RebuildFilter();
+    --adds_until_rebuild_;
+    const std::size_t bit = FilterBit(Hash{}(path));
+    filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    it = paths_.emplace(std::string(path), 0).first;
+  }
+  auto& watchers = it->second;
+  auto at = std::lower_bound(watchers.begin(), watchers.end(), watcher);
+  if (at == watchers.end() || *at != watcher) watchers.insert(at, watcher);
+}
+
+std::vector<WatchTable::Watcher> WatchTable::Take(std::string_view path) {
+  if (filter_.empty()) return {};
+  const std::size_t bit = FilterBit(Hash{}(path));
+  if ((filter_[bit / 64] & (std::uint64_t{1} << (bit % 64))) == 0) return {};
+  auto it = paths_.find(path);
+  if (it == paths_.end()) return {};
+  std::vector<Watcher> watchers = std::move(it->second);
+  paths_.erase(it);
+  return watchers;
+}
+
 void ZkServer::RegisterWatch(const Op& op, SessionId session,
                              net::NodeId client) {
   switch (op.type) {
     case OpType::kGetData:
     case OpType::kExists:
-      data_watches_[op.path][{session, client}] = true;
+      data_watches_.Add(op.path, {session, client});
       break;
     case OpType::kGetChildren:
-      child_watches_[op.path][{session, client}] = true;
+      child_watches_.Add(op.path, {session, client});
       break;
     default:
       break;
   }
 }
 
-void ZkServer::RegisterCompoundWatches(OpType type, const std::string& path,
+void ZkServer::RegisterCompoundWatches(OpType type, std::string_view path,
                                        const OpResult& result,
                                        SessionId session,
                                        net::NodeId client) {
-  const auto components = PathComponents(path);
-  const auto key = std::make_pair(session, client);
+  const WatchTable::Watcher key{session, client};
+  // path.substr(0, end) is the prefix walked so far; the root has no
+  // components to walk.
+  auto next_end = [path](std::size_t end) {
+    const auto slash = path.find('/', end + 1);
+    return slash == std::string_view::npos ? path.size() : slash;
+  };
+  std::size_t end = path.size() > 1 ? 0 : path.size();
   // Data watch on every component the walk resolved. resolved_depth may
   // exceed prefix.size() by one (the terminal rides stat/data), and for a
   // successful ResolveDelete it is one *less* than the walk reached — the
-  // deleted terminal must not be re-watched, or the watch would never fire.
-  std::string znode_path;
-  znode_path.reserve(path.size());
-  const std::size_t watched =
-      std::min<std::size_t>(result.resolved_depth, components.size());
-  for (std::size_t i = 0; i < watched; ++i) {
-    znode_path.push_back('/');
-    znode_path.append(components[i]);
-    data_watches_[znode_path][key] = true;
+  // deleted terminal gets the existence watch below instead.
+  for (std::uint32_t watched = 0;
+       end < path.size() && watched < result.resolved_depth; ++watched) {
+    end = next_end(end);
+    data_watches_.Add(path.substr(0, end), key);
   }
   // Partial miss: an existence watch on the first missing component keeps
   // the client's negative cache entry coherent (kNodeCreated fires it).
-  if (watched < components.size()) {
-    znode_path.push_back('/');
-    znode_path.append(components[watched]);
-    data_watches_[znode_path][key] = true;
+  if (end < path.size()) {
+    data_watches_.Add(path.substr(0, next_end(end)), key);
     return;
   }
   if (type == OpType::kReadDirPlus && result.ok()) {
     // The listing seeds one positive cache entry per child: mirror it with
     // a child watch on the directory plus a data watch per entry.
-    child_watches_[path][key] = true;
+    child_watches_.Add(path, key);
+    std::string child_path(path);
+    if (path != "/") child_path.push_back('/');
+    const std::size_t dir_len = child_path.size();
     for (const auto& entry : result.entries) {
-      std::string child_path = path == "/" ? "/" + entry.name
-                                           : path + "/" + entry.name;
-      data_watches_[std::move(child_path)][key] = true;
+      child_path.resize(dir_len);
+      child_path.append(entry.name);
+      data_watches_.Add(child_path, key);
     }
   }
 }
 
 void ZkServer::FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers) {
   for (const auto& trig : triggers) {
-    auto& watch_map = trig.type == WatchEventType::kNodeChildrenChanged
-                          ? child_watches_
-                          : data_watches_;
-    auto it = watch_map.find(trig.path);
-    if (it == watch_map.end()) continue;
-    WatchSet watchers = std::move(it->second);
-    watch_map.erase(it);  // one-shot, like ZooKeeper
-    for (const auto& [key, unused] : watchers) {
+    auto& table = trig.type == WatchEventType::kNodeChildrenChanged
+                      ? child_watches_
+                      : data_watches_;
+    // One-shot, like ZooKeeper.
+    for (const auto& [session, client] : table.Take(trig.path)) {
       WatchEvent ev;
       ev.type = trig.type;
       ev.path = trig.path;
-      ev.session = key.first;
-      endpoint_.Notify(key.second, method::kWatchEvent, ev.Encode());
+      ev.session = session;
+      endpoint_.Notify(client, method::kWatchEvent, ev.Encode());
     }
   }
 }
 
 // -------------------------------------------------------------- writes ----
 
-sim::Task<Result<ClientResponse>> ZkServer::SubmitWrite(Txn txn) {
+sim::Task<Result<net::Payload>> ZkServer::SubmitWrite(Txn txn) {
   Zxid zxid = 0;
   auto resp = co_await SubmitWriteTracked(std::move(txn), zxid);
   co_return resp;
 }
 
-sim::Task<Result<ClientResponse>> ZkServer::SubmitWriteTracked(Txn txn,
+sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(Txn txn,
                                                                Zxid& zxid) {  // dufs-lint: allow(coro-ref-param)
   if (role_ == Role::kLeading) {
     {
@@ -486,7 +550,7 @@ sim::Task<Result<ClientResponse>> ZkServer::SubmitWriteTracked(Txn txn,
     if (it == local_results_.end()) {
       co_return Status(StatusCode::kInternal, "missing local result");
     }
-    ClientResponse resp = std::move(it->second);
+    net::Payload resp = it->second.Encode();
     local_results_.erase(it);
     co_return resp;
   }
@@ -529,19 +593,18 @@ Zxid ZkServer::ProposeAsLeader(Txn txn) {
   DUFS_CHECK(role_ == Role::kLeading);
   const Zxid zxid = MakeZxid();
   txn.time = endpoint_.sim().now();  // replica-identical ctime/mtime stamps
-  const std::size_t txn_bytes = txn.EncodedSize();
   const obs::TraceId trace = txn.trace;
 
-  ProposeMsg msg{zxid, epoch_, txn};
-  const auto payload = msg.Encode();
+  const auto payload = ProposeMsg::Encode(zxid, epoch_, txn);
+  const std::size_t txn_bytes = payload.size() - ProposeMsg::kHeaderBytes;
   for (std::size_t i = 0; i < config_.servers.size(); ++i) {
     if (i == my_index_) continue;
     endpoint_.Notify(server_node(i), method::kPropose, payload);
   }
 
   pending_txns_.emplace(zxid, std::move(txn));
-  proposals_.emplace(zxid, Proposal{pending_txns_.at(zxid), {}, false,
-                                    endpoint_.sim().now()});
+  proposals_.emplace(zxid,
+                     Proposal{trace, {}, false, endpoint_.sim().now()});
   MaybeScheduleRetransmit();
 
   // Self-ack after the local journal write.
@@ -552,7 +615,7 @@ Zxid ZkServer::ProposeAsLeader(Txn txn) {
         co_await self.JournalAppend(z, bytes, tr);
         auto it = self.proposals_.find(z);
         if (it == self.proposals_.end()) co_return;
-        it->second.acks.insert(self.endpoint_.self());
+        it->second.acks |= std::uint64_t{1} << self.my_index_;
         self.TryCommitInOrder();
       }(*this, zxid, txn_bytes, trace));
   return zxid;
@@ -609,8 +672,8 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
     const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
     co_await endpoint_.sim().Delay(peers * config_.perf.per_peer_cpu);
 
-    BatchProposeMsg msg{epoch_, batch};
-    const auto payload = msg.Encode();
+    std::size_t total_bytes = 0;
+    const auto payload = BatchProposeMsg::Encode(epoch_, batch, total_bytes);
     for (std::size_t i = 0; i < config_.servers.size(); ++i) {
       if (i == my_index_) continue;
       endpoint_.Notify(server_node(i), method::kBatchPropose, payload);
@@ -618,12 +681,10 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
 
     const Zxid lo = batch.front().first;
     const Zxid hi = batch.back().first;
-    std::size_t total_bytes = 0;
     for (auto& [zxid, txn] : batch) {
-      total_bytes += txn.EncodedSize();
+      const obs::TraceId trace = txn.trace;
       pending_txns_.emplace(zxid, std::move(txn));
-      proposals_.emplace(zxid, Proposal{pending_txns_.at(zxid), {}, false,
-                                        wave_start});
+      proposals_.emplace(zxid, Proposal{trace, {}, false, wave_start});
     }
     MaybeScheduleRetransmit();
 
@@ -650,7 +711,7 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
           co_await self.JournalAppend(hi_z, bytes, tr);
           for (auto it = self.proposals_.lower_bound(lo_z);
                it != self.proposals_.end() && it->first <= hi_z; ++it) {
-            it->second.acks.insert(self.endpoint_.self());
+            it->second.acks |= std::uint64_t{1} << self.my_index_;
           }
           self.TryCommitInOrder();
         }(*this, lo, hi, total_bytes, wave_trace));
@@ -673,11 +734,12 @@ void ZkServer::MaybeScheduleRetransmit() {
     if (role_ != Role::kLeading || !endpoint_.node().up()) return;
     std::size_t sent = 0;
     for (const auto& [zxid, proposal] : proposals_) {
-      ProposeMsg msg{zxid, epoch_, proposal.txn};
-      const auto payload = msg.Encode();
+      const auto txn = pending_txns_.find(zxid);
+      if (txn == pending_txns_.end()) continue;  // applied via a newer COMMIT
+      const auto payload = ProposeMsg::Encode(zxid, epoch_, txn->second);
       for (std::size_t i = 0; i < config_.servers.size(); ++i) {
         if (i == my_index_) continue;
-        if (proposal.acks.count(server_node(i)) > 0) continue;
+        if ((proposal.acks >> i) & 1) continue;
         endpoint_.Notify(server_node(i), method::kPropose, payload);
       }
       if (++sent >= 16) break;  // head of the queue commits first anyway
@@ -715,7 +777,7 @@ sim::Task<net::RpcResult> ZkServer::HandleAck(net::NodeId from,
   if (!zxid.ok()) co_return zxid.status();
   auto it = proposals_.find(*zxid);
   if (it != proposals_.end()) {
-    it->second.acks.insert(from);
+    it->second.acks |= AckBit(from);
     TryCommitInOrder();
   }
   co_return net::Payload{};
@@ -766,11 +828,18 @@ sim::Task<net::RpcResult> ZkServer::HandleBatchAck(net::NodeId from,
   bool any = false;
   for (auto it = proposals_.lower_bound(*lo);
        it != proposals_.end() && it->first <= *hi; ++it) {
-    it->second.acks.insert(from);
+    it->second.acks |= AckBit(from);
     any = true;
   }
   if (any) TryCommitInOrder();
   co_return net::Payload{};
+}
+
+std::uint64_t ZkServer::AckBit(net::NodeId node) const {
+  for (std::size_t i = 0; i < config_.servers.size(); ++i) {
+    if (config_.servers[i] == node) return std::uint64_t{1} << i;
+  }
+  return 0;
 }
 
 void ZkServer::TryCommitInOrder() {
@@ -781,20 +850,20 @@ void ZkServer::TryCommitInOrder() {
     auto it = proposals_.begin();
     // +1: the leader's own durability is counted by its self-ack entry, so
     // quorum() includes it naturally.
-    if (it->second.acks.size() < quorum()) break;
+    const auto acks = static_cast<std::size_t>(std::popcount(it->second.acks));
+    if (acks < quorum()) break;
     const Zxid zxid = it->first;
     if (recording() && it->second.proposed_at > 0) {
       // PROPOSE -> quorum of ACKs, on the leader's track.
       std::vector<obs::Tracer::Arg> args;
       if (tracing()) {
         args = {{"zxid", {}, static_cast<std::int64_t>(zxid), false},
-                {"acks", {},
-                 static_cast<std::int64_t>(it->second.acks.size()), false}};
+                {"acks", {}, static_cast<std::int64_t>(acks), false}};
       }
       obs_.tracer->Complete(obs_.track, "quorum-round", "zab",
                             it->second.proposed_at,
                             endpoint_.sim().now() - it->second.proposed_at,
-                            it->second.txn.trace, std::move(args));
+                            it->second.trace, std::move(args));
     }
     proposals_.erase(it);
     last_committed_ = zxid;
@@ -852,18 +921,22 @@ void ZkServer::ApplyCommitted() {
     }
     auto it = pending_txns_.find(zxid);
     if (it == pending_txns_.end()) break;  // proposal not yet received
+    // Only the server whose client waits on this txn builds its reply.
+    const auto wanted = result_wanted_.find(zxid);
+    const Reply reply =
+        wanted != result_wanted_.end() ? Reply::kBuild : Reply::kSkip;
     AppliedTxn applied =
-        db_->Apply(it->second, zxid, endpoint_.sim().now());
+        db_->Apply(it->second, zxid, endpoint_.sim().now(), reply);
     FireTriggers(applied.triggers);
     // Every replica retains the committed tail: any of them may be elected
     // leader later and must be able to sync lagging followers.
     AppendCommittedLog(zxid, std::move(it->second));
-    if (result_wanted_.count(zxid) > 0) {
+    if (reply == Reply::kBuild) {
       ClientResponse resp;
       resp.result = std::move(applied.result);
       resp.multi_results = std::move(applied.multi_results);
       local_results_[zxid] = std::move(resp);
-      result_wanted_.erase(zxid);
+      result_wanted_.erase(wanted);
     }
     pending_txns_.erase(it);
     committed_not_applied_.erase(committed_not_applied_.begin());
@@ -1185,7 +1258,9 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     auto txn = Txn::Decode(r);
     if (!txn.ok()) co_return;
     if (*zxid <= db_->last_applied()) continue;
-    AppliedTxn applied = db_->Apply(*txn, *zxid, endpoint_.sim().now());
+    // Replayed history: no client waits on these results.
+    AppliedTxn applied =
+        db_->Apply(*txn, *zxid, endpoint_.sim().now(), Reply::kSkip);
     FireTriggers(applied.triggers);
     AppendCommittedLog(*zxid, std::move(*txn));
   }

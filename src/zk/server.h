@@ -18,11 +18,14 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/rpc.h"
@@ -33,6 +36,50 @@
 #include "zk/proto.h"
 
 namespace dufs::zk {
+
+// One-shot watches keyed by znode path (one table for data watches, one
+// for child watches). Each path's watchers are a sorted, de-duplicated
+// vector of (session, client node): a repeated registration is a no-op, and
+// a trigger notifies in ascending (session, node) order. Lookups take a
+// string_view, so registering a prefix of a request path copies the prefix
+// only when the path is not watched yet.
+//
+// Every replica looks up every trigger, but a path is watched only on the
+// servers its watchers' sessions are attached to, so nearly every lookup
+// misses. A one-hash bit filter over the watched paths answers those
+// misses without touching the table. Taken paths leave their bit set until
+// the filter is rebuilt, which happens once as many new paths were added
+// as the table held at the last rebuild (at least kMinRebuildAdds).
+class WatchTable {
+ public:
+  using Watcher = std::pair<SessionId, net::NodeId>;
+
+  void Add(std::string_view path, Watcher watcher);
+  // Removes the path's watchers and returns them (empty if none).
+  std::vector<Watcher> Take(std::string_view path);
+  std::size_t size() const { return paths_.size(); }
+
+ private:
+  static constexpr std::size_t kMinRebuildAdds = 1024;
+  // Filter bits per path the table may hold before the next rebuild: at
+  // most one bit in 16 is set, so about 6% of misses reach the table.
+  static constexpr std::size_t kBitsPerPath = 16;
+
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::size_t FilterBit(std::size_t hash) const;
+  void RebuildFilter();
+
+  std::unordered_map<std::string, std::vector<Watcher>, Hash, std::equal_to<>>
+      paths_;
+  std::vector<std::uint64_t> filter_;
+  int filter_shift_ = 64;  // FilterBit keeps the hash's top (64 - shift) bits
+  std::size_t adds_until_rebuild_ = 0;
+};
 
 // Service-time constants for one server (calibrated; see DESIGN.md §4).
 struct ZkPerfModel {
@@ -106,9 +153,12 @@ class ZkServer {
   void AttachObs(obs::NodeObs node_obs);
 
  private:
+  // The txn itself stays in pending_txns_ (retransmits encode it from
+  // there); a proposal keeps only its replication state.
   struct Proposal {
-    Txn txn;
-    std::set<net::NodeId> acks;  // deduplicated (retransmits re-ack)
+    obs::TraceId trace = 0;
+    // Bit i = server i has journaled it (retransmits re-ack idempotently).
+    std::uint64_t acks = 0;
     bool committed = false;
     sim::SimTime proposed_at = 0;  // quorum-round span start
   };
@@ -117,6 +167,8 @@ class ZkServer {
   net::NodeId server_node(std::size_t idx) const {
     return config_.servers[idx];
   }
+  // Ack bit of the server on `node` (0 for a node outside the ensemble).
+  std::uint64_t AckBit(net::NodeId node) const;
   Zxid MakeZxid() { return (epoch_ << 40) | static_cast<Zxid>(++zxid_counter_); }
 
   // RPC handlers.
@@ -138,10 +190,11 @@ class ZkServer {
                                                net::Payload req);
 
   // Write-path helpers.
-  sim::Task<Result<ClientResponse>> SubmitWrite(Txn txn);
+  // Both return the encoded ClientResponse of the committed write.
+  sim::Task<Result<net::Payload>> SubmitWrite(Txn txn);
   // `zxid` is an out-param owned by the awaiting HandleRequest frame.
   // dufs-lint: allow(coro-ref-param)
-  sim::Task<Result<ClientResponse>> SubmitWriteTracked(Txn txn, Zxid& zxid);
+  sim::Task<Result<net::Payload>> SubmitWriteTracked(Txn txn, Zxid& zxid);
   Zxid ProposeAsLeader(Txn txn);  // returns the assigned zxid
   // Group-commit path: drains propose_queue_ in max_journal_batch-sized
   // waves, paying the per-follower replication cost once per wave.
@@ -179,7 +232,7 @@ class ZkServer {
   // missing one on a partial miss), and for ReadDirPlus a child watch on
   // the directory + data watches on every listed entry — the server-side
   // mirror of the client seeding every one of those cache entries.
-  void RegisterCompoundWatches(OpType type, const std::string& path,
+  void RegisterCompoundWatches(OpType type, std::string_view path,
                                const OpResult& result, SessionId session,
                                net::NodeId client);
   void FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers);
@@ -231,10 +284,8 @@ class ZkServer {
   // sequencing and the next quorum round picks them all up at once.
   std::size_t journal_pending_ = 0;
 
-  // Watches: path -> (session, client node).
-  using WatchSet = std::map<std::pair<SessionId, net::NodeId>, bool>;
-  std::unordered_map<std::string, WatchSet> data_watches_;
-  std::unordered_map<std::string, WatchSet> child_watches_;
+  WatchTable data_watches_;
+  WatchTable child_watches_;
 
   // Election state.
   struct Vote {

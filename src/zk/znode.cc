@@ -50,7 +50,12 @@ Result<ZnodeStat> ZnodeStat::Decode(wire::BufferReader& r) {
   return s;
 }
 
-Status ValidatePath(std::string_view path) {
+namespace {
+
+// Calls `fn(segment)` for each segment of `path` ("/" has none), failing
+// with kInvalidArgument at the first syntax error.
+template <typename Fn>
+Status ForEachSegment(std::string_view path, Fn&& fn) {
   if (path.empty() || path[0] != '/') {
     return Status(StatusCode::kInvalidArgument, "path must start with '/'");
   }
@@ -69,16 +74,36 @@ Status ValidatePath(std::string_view path) {
     if (seg == "." || seg == "..") {
       return Status(StatusCode::kInvalidArgument, "relative path segment");
     }
+    fn(seg);
     start = end + 1;
   }
   return Status::Ok();
 }
 
-std::string ParentPath(std::string_view path) {
+std::string JoinPath(std::string_view parent, std::string_view name) {
+  std::string path;
+  path.reserve(parent.size() + 1 + name.size());
+  path.append(parent);
+  if (parent != "/") path.push_back('/');
+  path.append(name);
+  return path;
+}
+
+}  // namespace
+
+Status ValidatePath(std::string_view path) {
+  return ForEachSegment(path, [](std::string_view) {});
+}
+
+std::string_view ParentView(std::string_view path) {
   DUFS_CHECK(path.size() > 1 && path[0] == '/');
   const auto pos = path.rfind('/');
   if (pos == 0) return "/";
-  return std::string(path.substr(0, pos));
+  return path.substr(0, pos);
+}
+
+std::string ParentPath(std::string_view path) {
+  return std::string(ParentView(path));
 }
 
 std::string_view BaseName(std::string_view path) {
@@ -99,30 +124,43 @@ std::vector<std::string_view> PathComponents(std::string_view path) {
   return out;
 }
 
+Status SplitValidPath(std::string_view path,
+                      std::vector<std::string_view>& out) {
+  out.clear();
+  return ForEachSegment(path,
+                        [&out](std::string_view seg) { out.push_back(seg); });
+}
+
 DataTree::DataTree() : root_(std::make_unique<Znode>()) {}
 
-Result<const DataTree::Znode*> DataTree::Find(std::string_view path) const {
-  DUFS_RETURN_IF_ERROR(ValidatePath(path));
+const DataTree::Znode* DataTree::Walk(std::string_view path) const {
   const Znode* cur = root_.get();
   if (path == "/") return cur;
   std::size_t start = 1;
   while (start <= path.size()) {
     std::size_t end = path.find('/', start);
     if (end == std::string_view::npos) end = path.size();
-    const auto seg = path.substr(start, end - start);
-    auto it = cur->children.find(seg);
-    if (it == cur->children.end()) {
-      return Status(StatusCode::kNotFound, std::string(path));
-    }
+    auto it = cur->children.find(path.substr(start, end - start));
+    if (it == cur->children.end()) return nullptr;
     cur = it->second.get();
     start = end + 1;
   }
   return cur;
 }
 
+DataTree::Znode* DataTree::WalkMutable(std::string_view path) {
+  return const_cast<Znode*>(Walk(path));
+}
+
+Result<const DataTree::Znode*> DataTree::Find(std::string_view path) const {
+  DUFS_RETURN_IF_ERROR(ValidatePath(path));
+  const Znode* node = Walk(path);
+  if (node == nullptr) return Status(StatusCode::kNotFound, std::string(path));
+  return node;
+}
+
 DataTree::Znode* DataTree::FindMutable(std::string_view path) {
-  auto found = static_cast<const DataTree*>(this)->Find(path);
-  return found.ok() ? const_cast<Znode*>(*found) : nullptr;
+  return ValidatePath(path).ok() ? WalkMutable(path) : nullptr;
 }
 
 Result<std::string> DataTree::Create(std::string_view path,
@@ -131,30 +169,37 @@ Result<std::string> DataTree::Create(std::string_view path,
                                      Zxid zxid, std::int64_t time) {
   DUFS_RETURN_IF_ERROR(ValidatePath(path));
   if (path == "/") return Status(StatusCode::kAlreadyExists, "/");
-  const std::string parent_path = ParentPath(path);
-  Znode* parent = FindMutable(parent_path);
+  const std::string_view parent_path = ParentView(path);
+  Znode* parent = WalkMutable(parent_path);
   if (parent == nullptr) {
-    return Status(StatusCode::kNotFound, "parent " + parent_path);
+    return Status(StatusCode::kNotFound,
+                  "parent " + std::string(parent_path));
   }
-  if (parent->stat.ephemeral_owner != 0) {
+  auto node = CreateChild(*parent, BaseName(path), std::move(data), mode,
+                          session, zxid, time);
+  DUFS_RETURN_IF_ERROR(node);
+  return JoinPath(parent_path, (*node)->name);
+}
+
+Result<DataTree::Znode*> DataTree::CreateChild(
+    Znode& parent, std::string_view name, std::vector<std::uint8_t> data,
+    CreateMode mode, SessionId session, Zxid zxid, std::int64_t time) {
+  if (parent.stat.ephemeral_owner != 0) {
     // ZooKeeper forbids children under ephemeral nodes.
     return Status(StatusCode::kInvalidArgument, "parent is ephemeral");
   }
-
-  std::string name(BaseName(path));
+  auto node = std::make_unique<Znode>();
+  node->name = name;
   if (IsSequential(mode)) {
     char suffix[16];
     std::snprintf(suffix, sizeof(suffix), "%010llu",
-                  static_cast<unsigned long long>(parent->next_sequence++));
-    name += suffix;
+                  static_cast<unsigned long long>(parent.next_sequence++));
+    node->name += suffix;
   }
-  if (parent->children.count(name) > 0) {
-    return Status(StatusCode::kAlreadyExists,
-                  parent_path + (parent_path == "/" ? "" : "/") + name);
+  auto [it, inserted] = parent.children.try_emplace(node->name);
+  if (!inserted) {
+    return Status(StatusCode::kAlreadyExists, node->name);
   }
-
-  auto node = std::make_unique<Znode>();
-  node->name = name;
   node->data = std::move(data);
   node->stat.czxid = zxid;
   node->stat.mzxid = zxid;
@@ -167,15 +212,12 @@ Result<std::string> DataTree::Create(std::string_view path,
     node->stat.ephemeral_owner = session;
     ++ephemeral_count_;
   }
-  parent->children.emplace(name, std::move(node));
-  parent->stat.pzxid = zxid;
-  ++parent->stat.cversion;
-  ++parent->stat.num_children;
+  it->second = std::move(node);
+  parent.stat.pzxid = zxid;
+  ++parent.stat.cversion;
+  ++parent.stat.num_children;
   ++node_count_;
-
-  std::string created = parent_path == "/" ? "/" + name
-                                           : parent_path + "/" + name;
-  return created;
+  return it->second.get();
 }
 
 Status DataTree::Delete(std::string_view path, std::int32_t expected_version,
@@ -184,23 +226,31 @@ Status DataTree::Delete(std::string_view path, std::int32_t expected_version,
   if (path == "/") {
     return Status(StatusCode::kInvalidArgument, "cannot delete the root");
   }
-  Znode* node = FindMutable(path);
-  if (node == nullptr) return Status(StatusCode::kNotFound, std::string(path));
-  if (!node->children.empty()) {
-    return Status(StatusCode::kNotEmpty, std::string(path));
+  Znode* parent = WalkMutable(ParentView(path));
+  if (parent == nullptr) {
+    return Status(StatusCode::kNotFound, std::string(path));
   }
-  if (expected_version != kAnyVersion &&
-      expected_version != node->stat.version) {
-    return Status(StatusCode::kBadVersion, std::string(path));
-  }
-  if (node->stat.ephemeral_owner != 0) --ephemeral_count_;
+  return DeleteChild(*parent, BaseName(path), expected_version, zxid);
+}
 
-  Znode* parent = FindMutable(ParentPath(path));
-  DUFS_CHECK(parent != nullptr);
-  parent->children.erase(node->name);
-  parent->stat.pzxid = zxid;
-  ++parent->stat.cversion;
-  --parent->stat.num_children;
+Status DataTree::DeleteChild(Znode& parent, std::string_view name,
+                             std::int32_t expected_version, Zxid zxid) {
+  auto it = parent.children.find(name);
+  if (it == parent.children.end()) {
+    return Status(StatusCode::kNotFound, std::string(name));
+  }
+  const Znode& node = *it->second;
+  if (!node.children.empty()) {
+    return Status(StatusCode::kNotEmpty, std::string(name));
+  }
+  if (expected_version != kAnyVersion && expected_version != node.stat.version) {
+    return Status(StatusCode::kBadVersion, std::string(name));
+  }
+  if (node.stat.ephemeral_owner != 0) --ephemeral_count_;
+  parent.children.erase(it);
+  parent.stat.pzxid = zxid;
+  ++parent.stat.cversion;
+  --parent.stat.num_children;
   --node_count_;
   return Status::Ok();
 }

@@ -33,6 +33,9 @@ struct ZnodeStat {
   std::int32_t num_children = 0;
   std::int32_t data_length = 0;
 
+  // Five i64 stamps, the owner u64 and four u32 counters.
+  static constexpr std::size_t kEncodedSize = 5 * 8 + 8 + 4 * 4;
+
   void Encode(wire::BufferWriter& w) const;
   static Result<ZnodeStat> Decode(wire::BufferReader& r);
   friend bool operator==(const ZnodeStat&, const ZnodeStat&) = default;
@@ -59,12 +62,19 @@ inline constexpr std::int32_t kAnyVersion = -1;
 // Path syntax: "/" or "/seg(/seg)*"; segments non-empty, no '/', not "."/"..".
 Status ValidatePath(std::string_view path);
 // Parent of "/a/b" is "/a"; parent of "/a" is "/". Precondition: valid, != "/".
+// ParentView aliases `path` (or a static "/"); ParentPath copies it.
+std::string_view ParentView(std::string_view path);
 std::string ParentPath(std::string_view path);
 // Basename of "/a/b" is "b".
 std::string_view BaseName(std::string_view path);
 // Components of "/a/b/c" are ["a", "b", "c"]; "/" has none. The views alias
 // `path`, so the caller keeps the backing string alive. Precondition: valid.
 std::vector<std::string_view> PathComponents(std::string_view path);
+// ValidatePath and PathComponents in one pass. `out` is cleared first and
+// keeps its capacity, so a caller that reuses it splits without allocating;
+// on an invalid path its contents are unspecified.
+Status SplitValidPath(std::string_view path,
+                      std::vector<std::string_view>& out);
 
 class DataTree {
  public:
@@ -90,6 +100,14 @@ class DataTree {
                             std::vector<std::uint8_t> data,
                             std::int32_t expected_version, Zxid zxid,
                             std::int64_t time);
+  // Create/Delete below a parent the caller has already walked to (a node
+  // of this tree), so a resolving txn touches each path component once.
+  // CreateChild appends the sequence suffix itself and returns the new node.
+  Result<Znode*> CreateChild(Znode& parent, std::string_view name,
+                             std::vector<std::uint8_t> data, CreateMode mode,
+                             SessionId session, Zxid zxid, std::int64_t time);
+  Status DeleteChild(Znode& parent, std::string_view name,
+                     std::int32_t expected_version, Zxid zxid);
 
   // --- reads -------------------------------------------------------------
   Result<const Znode*> Find(std::string_view path) const;
@@ -117,6 +135,9 @@ class DataTree {
   const Znode& root() const { return *root_; }
 
  private:
+  // Walk/WalkMutable take a path that is already valid; nullptr if absent.
+  const Znode* Walk(std::string_view path) const;
+  Znode* WalkMutable(std::string_view path);
   Znode* FindMutable(std::string_view path);
   static void SerializeNode(const Znode& n, wire::BufferWriter& w);
   static Result<std::unique_ptr<Znode>> DeserializeNode(wire::BufferReader& r);

@@ -3,7 +3,10 @@
 // (replication, concurrent delete-under-resolve, per-component watches).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/rpc.h"
 #include "sim/gather.h"
@@ -125,6 +128,34 @@ TEST(CompoundProtoTest, OpResultRoundTripWithPrefixAndEntries) {
   EXPECT_EQ(out.entries[0].name, "f");
   EXPECT_EQ(out.entries[0].stat.mzxid, 9);
   EXPECT_EQ(out.entries[0].data, FileData());
+}
+
+TEST(CompoundProtoTest, EncodedSizeMatchesEncoding) {
+  // Encoders size their buffer from EncodedSize(); it must be exact.
+  Op op = Op::ResolveCreate(std::string(200, 'p'), FileData(), // varint > 1B
+                            CreateMode::kPersistent, kTag, true);
+  Txn txn;
+  txn.session = 7;
+  txn.trace = 1u << 20;
+  txn.op = op;
+  txn.multi_ops = {Op::Create("/m", DirData()), Op::Delete("/n")};
+  OpResult res;
+  res.created_path = "/a/b";
+  res.data = FileData();
+  res.children = {"x", "yy"};
+  res.resolved_depth = 300;
+  res.prefix.push_back({"a", ZnodeStat{}, DirData()});
+  res.entries.push_back({"e", ZnodeStat{}, FileData()});
+  auto size_of = [](const auto& v) {
+    wire::BufferWriter w;
+    v.Encode(w);
+    return w.size();
+  };
+  EXPECT_EQ(op.EncodedSize(), size_of(op));
+  EXPECT_EQ(txn.EncodedSize(), size_of(txn));
+  EXPECT_EQ(res.prefix[0].EncodedSize(), size_of(res.prefix[0]));
+  EXPECT_EQ(res.EncodedSize(), size_of(res));
+  EXPECT_EQ(ZnodeStat::kEncodedSize, size_of(ZnodeStat{}));
 }
 
 TEST(CompoundProtoTest, OpTypeNamesAreStable) {
@@ -565,6 +596,65 @@ TEST(CompoundEnsembleTest, ReadDirPlusRegistersChildWatches) {
   e.Drain();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].path, "/a/b/c/f");
+}
+
+// --------------------------------------------------------- watch table --
+
+TEST(WatchTableTest, RepeatedRegistrationsFireOnceInSessionNodeOrder) {
+  WatchTable table;
+  // Two sessions, each registering the same component watch twice, in an
+  // order that is neither sorted by session nor by node.
+  for (int round = 0; round < 2; ++round) {
+    table.Add("/a/b", {9, 1});
+    table.Add(std::string_view("/a/b/c").substr(0, 4), {3, 5});
+  }
+  table.Add("/a", {9, 1});
+  EXPECT_EQ(table.size(), 2u);
+  const std::vector<WatchTable::Watcher> expected = {{3, 5}, {9, 1}};
+  EXPECT_EQ(table.Take("/a/b"), expected);
+  // One-shot: gone once taken; other paths are untouched.
+  EXPECT_TRUE(table.Take("/a/b").empty());
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(CompoundEnsembleTest, RepeatedComponentWatchNotifiesEachSessionOnce) {
+  // One server, so both watching sessions register on the same table.
+  Ensemble e(1, /*n_clients=*/3);
+  e.Connect();
+  std::vector<WatchEvent> events;
+  for (std::size_t i = 0; i < 2; ++i) {
+    e.client(i).SetWatchHandler(
+        [&events](const WatchEvent& ev) { events.push_back(ev); });
+  }
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    co_await BuildChain(en.client(2));
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (int round = 0; round < 2; ++round) {
+        auto res = co_await en.client(i).Resolve("/a/b/c/f", true, kTag);
+        CO_ASSERT_OK(res.status());
+      }
+    }
+    CO_ASSERT_OK((co_await en.client(2).Set("/a/b", DirData())).status());
+  }(e));
+  e.Drain();
+  ASSERT_EQ(events.size(), 2u);
+  std::vector<SessionId> sessions;
+  for (const auto& ev : events) {
+    EXPECT_EQ(ev.path, "/a/b");
+    EXPECT_EQ(ev.type, WatchEventType::kNodeDataChanged);
+    sessions.push_back(ev.session);
+  }
+  std::sort(sessions.begin(), sessions.end());
+  std::vector<SessionId> expected = {e.client(0).session(),
+                                     e.client(1).session()};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(sessions, expected);
+  // The watch was one-shot: a second mutation notifies nobody.
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    CO_ASSERT_OK((co_await en.client(2).Set("/a/b", DirData())).status());
+  }(e));
+  e.Drain();
+  EXPECT_EQ(events.size(), 2u);
 }
 
 }  // namespace

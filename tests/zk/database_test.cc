@@ -210,5 +210,118 @@ TEST_F(DatabaseTest, SyncIsNoOp) {
   EXPECT_EQ(db_.tree().node_count(), 1u);
 }
 
+// ------------------------------------------- replies only where wanted --
+
+// Applies every txn to two replicas, one building the client reply and one
+// not (as every server but the one a client waits on does). Both must reach
+// the same code, the same triggers and the same tree; the reply-less result
+// carries no resolved prefix.
+class ReplyEquivalenceTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint8_t kTag = 'D';
+
+  void SetUp() override {
+    Check(Op::Create("/a", Bytes("Ddir")));
+    Check(Op::Create("/a/b", Bytes("Ddir")));
+    Check(Op::Create("/a/b/f", Bytes("Ffile")));
+  }
+
+  static std::vector<std::pair<WatchEventType, std::string>> Triggers(
+      const AppliedTxn& applied) {
+    std::vector<std::pair<WatchEventType, std::string>> out;
+    for (const auto& t : applied.triggers) out.emplace_back(t.type, t.path);
+    return out;
+  }
+
+  // Returns the reply-building replica's result.
+  AppliedTxn Check(Op op) {
+    Txn txn;
+    txn.session = 1;
+    txn.op = std::move(op);
+    ++zxid_;
+    AppliedTxn built = with_reply_.Apply(txn, zxid_, zxid_ * 100,
+                                         Reply::kBuild);
+    AppliedTxn skipped = without_reply_.Apply(txn, zxid_, zxid_ * 100,
+                                              Reply::kSkip);
+    EXPECT_EQ(built.result.code, skipped.result.code);
+    EXPECT_EQ(Triggers(built), Triggers(skipped));
+    EXPECT_EQ(with_reply_.Fingerprint(), without_reply_.Fingerprint());
+    EXPECT_TRUE(skipped.result.prefix.empty());
+    return built;
+  }
+
+  AppliedTxn Create(std::string path,
+                    CreateMode mode = CreateMode::kPersistent) {
+    return Check(Op::ResolveCreate(std::move(path), Bytes("Fnew"), mode,
+                                   kTag, false));
+  }
+  AppliedTxn Delete(std::string path) {
+    return Check(Op::ResolveDelete(std::move(path), kAnyVersion, kTag,
+                                   false));
+  }
+
+  Database with_reply_;
+  Database without_reply_;
+  Zxid zxid_ = 0;
+};
+
+TEST_F(ReplyEquivalenceTest, ResolveCreateOk) {
+  auto applied = Create("/a/b/g");
+  EXPECT_EQ(applied.result.code, StatusCode::kOk);
+  EXPECT_EQ(applied.result.prefix.size(), 2u);
+  EXPECT_EQ(applied.result.created_path, "/a/b/g");
+  // A top-level name is created under the root.
+  EXPECT_EQ(Create("/top").result.code, StatusCode::kOk);
+}
+
+TEST_F(ReplyEquivalenceTest, ResolveCreateAlreadyExists) {
+  auto applied = Create("/a/b/f");
+  EXPECT_EQ(applied.result.code, StatusCode::kAlreadyExists);
+  EXPECT_EQ(applied.result.prefix.size(), 2u);
+  EXPECT_EQ(applied.result.data, Bytes("Ffile"));
+  // A one-component path has an empty prefix on both replicas.
+  auto top = Create("/a");
+  EXPECT_EQ(top.result.code, StatusCode::kAlreadyExists);
+  EXPECT_TRUE(top.result.prefix.empty());
+}
+
+TEST_F(ReplyEquivalenceTest, ResolveCreatePartialMiss) {
+  auto applied = Create("/a/nope/x");
+  EXPECT_EQ(applied.result.code, StatusCode::kNotFound);
+  EXPECT_EQ(applied.result.prefix.size(), 1u);
+}
+
+TEST_F(ReplyEquivalenceTest, ResolveCreateSequential) {
+  auto first = Create("/a/b/s-", CreateMode::kPersistentSequential);
+  EXPECT_EQ(first.result.code, StatusCode::kOk);
+  EXPECT_EQ(first.result.created_path, "/a/b/s-0000000000");
+  auto second = Create("/a/b/s-", CreateMode::kPersistentSequential);
+  ASSERT_EQ(second.triggers.size(), 2u);
+  EXPECT_EQ(second.triggers[0].path, "/a/b/s-0000000001");
+  EXPECT_EQ(second.triggers[1].path, "/a/b");
+}
+
+TEST_F(ReplyEquivalenceTest, ResolveDeleteOk) {
+  auto applied = Delete("/a/b/f");
+  EXPECT_EQ(applied.result.code, StatusCode::kOk);
+  EXPECT_EQ(applied.result.resolved_depth, 2u);
+  EXPECT_EQ(applied.result.data, Bytes("Ffile"));
+  // A top-level name is deleted from the root.
+  ASSERT_EQ(Create("/top").result.code, StatusCode::kOk);
+  EXPECT_EQ(Delete("/top").result.code, StatusCode::kOk);
+}
+
+TEST_F(ReplyEquivalenceTest, ResolveDeleteIsADirectory) {
+  auto applied = Delete("/a/b");
+  EXPECT_EQ(applied.result.code, StatusCode::kIsADirectory);
+  EXPECT_EQ(applied.result.prefix.size(), 1u);
+}
+
+TEST_F(ReplyEquivalenceTest, ResolveDeleteNotFound) {
+  auto applied = Delete("/a/b/gone");
+  EXPECT_EQ(applied.result.code, StatusCode::kNotFound);
+  EXPECT_EQ(applied.result.prefix.size(), 2u);
+}
+
 }  // namespace
 }  // namespace dufs::zk
